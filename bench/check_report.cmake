@@ -26,12 +26,12 @@ endif()
 file(READ "${OUT}" doc)
 
 foreach(needle
-    "\"schema\"" "hbh.run_report/v1" "\"sweep\"" "\"runs\"" "\"HBH\""
+    "\"schema\"" "hbh.run_report/v2" "\"sweep\"" "\"runs\"" "\"HBH\""
     "\"counters\"" "\"net.tx.tree\"" "\"gauges\"" "\"series\""
     "\"state.forwarding_entries\"" "\"messages\"" "\"messages_dropped\""
     "\"p50\"" "\"p95\"" "\"p99\"" "\"trace\"" "hbh.trace/v1"
     "\"convergence\"" "\"grafts\"" "\"mean_join_to_first_delivery\""
-    "\"perf_profile\"" "hbh.perf_profile/v1" "\"phases\"" "\"trial_setup\""
+    "\"perf_profile\"" "hbh.perf_profile/v2" "\"phases\"" "\"trial_setup\""
     "\"wall_ns\"" "\"cpu_ns\"" "\"peak_rss_bytes\""
     "\"wall_seconds\"")
   string(FIND "${doc}" "${needle}" pos)

@@ -33,20 +33,16 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000);
 
-// The compiled-vs-interpreted data-plane pair: identical converged HBH
-// sessions on the ISP topology, per-iteration burst of emissions drained
-// through the simulator; only SessionConfig::fastpath differs. items/s is
-// data transmissions per second — the per-hop dispatch cost under the
-// microbench harness (bench/perf_dataplane is the report-grade version).
-void FanoutBench(benchmark::State& state, bool fastpath) {
+// Data-plane fan-out: a converged HBH session on the ISP topology, per-
+// iteration burst of emissions drained through the simulator. items/s is
+// data transmissions per second — the per-hop cost under the microbench
+// harness (bench/perf_dataplane is the report-grade version).
+void BM_DataFanout(benchmark::State& state) {
   Rng rng{9};
   auto scenario = topo::make_isp();
   topo::randomize_costs(scenario.topo, rng);
   const auto picked = rng.sample(scenario.candidate_receivers(), 16);
-  harness::SessionConfig config{};
-  config.fastpath = fastpath;
-  harness::Session session{std::move(scenario), harness::Protocol::kHbh,
-                           config};
+  harness::Session session{std::move(scenario), harness::Protocol::kHbh};
   harness::ChannelHandle ch = session.default_channel();
   Time delay = 0.1;
   for (const NodeId r : picked) {
@@ -63,16 +59,7 @@ void FanoutBench(benchmark::State& state, bool fastpath) {
   const std::uint64_t after = session.network().counters().data_transmissions;
   state.SetItemsProcessed(static_cast<std::int64_t>(after - before));
 }
-
-void BM_InterpretedFanout(benchmark::State& state) {
-  FanoutBench(state, /*fastpath=*/false);
-}
-BENCHMARK(BM_InterpretedFanout);
-
-void BM_FastpathFanout(benchmark::State& state) {
-  FanoutBench(state, /*fastpath=*/true);
-}
-BENCHMARK(BM_FastpathFanout);
+BENCHMARK(BM_DataFanout);
 
 // Soft-state workload shape: every protocol timer push is later cancelled
 // and re-armed (refresh), so cancel cost is as hot as push/pop cost.

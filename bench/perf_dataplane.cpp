@@ -1,5 +1,5 @@
-// Data-plane packets/sec microbench — the baseline ROADMAP item 1 (the
-// compiled data-plane fast path) will be judged against.
+// Data-plane packets/sec microbench: the per-hop cost of data fan-out
+// through the fabric (docs/PERFORMANCE.md "Per-hop cost").
 //
 // For each protocol: build the ISP session, converge the control plane,
 // then time a loop of source emissions draining through the simulator.
@@ -17,10 +17,9 @@
 // Knobs: HBH_SEED, HBH_DP_ROUNDS (measured emission rounds, default 64),
 // HBH_DP_WARMUP (unmeasured warmup rounds, default 8), HBH_DP_BURST
 // (emissions per round, default 16 — a burst shares one drain, so the
-// wall clock measures fan-out work, not round bookkeeping), HBH_FASTPATH
-// (compiled fast path on/off; counts are byte-identical either way),
-// HBH_PERF_OUT (JSON path, default BENCH_perf_dataplane.json; empty
-// string disables the file), HBH_PROF_OUT (standalone phase profile).
+// wall clock measures fan-out work, not round bookkeeping), HBH_PERF_OUT
+// (JSON path, default BENCH_perf_dataplane.json; empty string disables the
+// file), HBH_PROF_OUT (standalone phase profile).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -30,7 +29,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/session.hpp"
-#include "mcast/fastpath/compiled_forwarder.hpp"
 #include "metrics/json.hpp"
 #include "topo/builders.hpp"
 #include "topo/isp.hpp"
@@ -71,15 +69,6 @@ struct ProtocolResult {
   std::uint64_t queued_packets = 0;   ///< egress-queue admissions (queued mode)
   std::uint64_t drops_queue_full = 0;  ///< drop-tail losses (queued mode)
   std::uint64_t drops_red = 0;         ///< RED early drops (queued mode)
-  fastpath::FastpathStats fastpath{};  ///< all zero with HBH_FASTPATH=0
-
-  /// Mean replication fan-out of the compiled batches (0 when off).
-  [[nodiscard]] double fanout_mean_batch() const {
-    return fastpath.fanout_batches > 0
-               ? static_cast<double>(fastpath.fanout_copies) /
-                     static_cast<double>(fastpath.fanout_batches)
-               : 0;
-  }
 
   [[nodiscard]] double packets_per_second() const {
     return wall_seconds > 0 ? static_cast<double>(data_packets) / wall_seconds
@@ -94,9 +83,9 @@ struct ProtocolResult {
 ProtocolResult run_protocol(harness::Protocol protocol, std::uint64_t seed,
                             std::size_t rounds, std::size_t warmup_rounds,
                             std::size_t burst, bool queued) {
-  // Phase attribution (and the fast path's per-hop wall sampling) reads
-  // the clock inside the measured loop, so the profiler is installed only
-  // when a profile artifact was actually requested via HBH_PROF_OUT.
+  // Phase attribution reads the clock inside the measured loop, so the
+  // profiler is installed only when a profile artifact was actually
+  // requested via HBH_PROF_OUT.
   prof::PhaseProfiler profiler;
   std::optional<prof::ScopedProfiler> install;
   if (!env_prof_out().empty()) install.emplace(profiler);
@@ -158,11 +147,6 @@ ProtocolResult run_protocol(harness::Protocol protocol, std::uint64_t seed,
     result.queue_pushes = session.simulator().queue().total_pushes();
   }
 
-  if (const fastpath::CompiledForwarder* fp = session.fastpath();
-      fp != nullptr) {
-    result.fastpath = fp->stats();
-  }
-  session.flush_fastpath_profile();  // fastpath/compile + fastpath/forward
   prof::process_profile().merge(to_string(protocol), profiler);
   return result;
 }
@@ -179,9 +163,9 @@ int main() {
   std::printf("=== perf_dataplane — data fan-out packets/sec ===\n");
   std::printf(
       "topology=ISP receivers=%zu rounds=%zu warmup=%zu burst=%zu "
-      "seed=%llu fastpath=%d\n\n",
+      "seed=%llu\n\n",
       kReceivers, rounds, warmup_rounds, burst,
-      static_cast<unsigned long long>(seed), env_fastpath() ? 1 : 0);
+      static_cast<unsigned long long>(seed));
 
   std::vector<ProtocolResult> results;
   std::vector<ProtocolResult> queued_results;
@@ -192,18 +176,15 @@ int main() {
         run_protocol(p, seed, rounds, warmup_rounds, burst, true));
   }
 
-  std::printf("%-10s %12s %12s %14s %14s %10s %9s %9s\n", "protocol",
-              "data_pkts", "ctrl_pkts", "packets/s", "events/s", "allocs",
-              "fp_hits", "fp_batch");
+  std::printf("%-10s %12s %12s %14s %14s %10s\n", "protocol", "data_pkts",
+              "ctrl_pkts", "packets/s", "events/s", "allocs");
   for (const ProtocolResult& r : results) {
-    std::printf("%-10s %12llu %12llu %14.0f %14.0f %10llu %9llu %9.2f\n",
+    std::printf("%-10s %12llu %12llu %14.0f %14.0f %10llu\n",
                 std::string(to_string(r.protocol)).c_str(),
                 static_cast<unsigned long long>(r.data_packets),
                 static_cast<unsigned long long>(r.control_packets),
                 r.packets_per_second(), r.events_per_second(),
-                static_cast<unsigned long long>(r.allocs),
-                static_cast<unsigned long long>(r.fastpath.hits),
-                r.fanout_mean_batch());
+                static_cast<unsigned long long>(r.allocs));
   }
 
   std::printf("\nqueued mode (backbone capacity=%.0f B/tu, queue=%zu, "
@@ -231,7 +212,7 @@ int main() {
     }
     metrics::JsonWriter w{out};
     w.begin_object();
-    w.member("schema", "hbh.perf_dataplane/v1");
+    w.member("schema", "hbh.perf_dataplane/v2");
     w.key("config");
     w.begin_object();
     w.member("topology", "ISP");
@@ -257,17 +238,6 @@ int main() {
       w.member("alloc_bytes", r.alloc_bytes);
       w.member("queue_slots", r.queue_slots);
       w.member("queue_pushes", r.queue_pushes);
-      // Scrubbed (with the timings) from mode-equivalence comparisons:
-      // zero by definition when HBH_FASTPATH=0.
-      w.key("fastpath");
-      w.begin_object();
-      w.member("hits", r.fastpath.hits);
-      w.member("recompiles", r.fastpath.recompiles);
-      w.member("invalidations", r.fastpath.invalidations);
-      w.member("fanout_batches", r.fastpath.fanout_batches);
-      w.member("fanout_copies", r.fastpath.fanout_copies);
-      w.member("fanout_mean_batch", r.fanout_mean_batch());
-      w.end_object();
       w.end_object();
     }
     w.end_object();

@@ -129,9 +129,6 @@ TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
     result.tree_cost = static_cast<double>(m.tree_cost);
     result.mean_delay = m.mean_delay;
     result.delivered = m.delivered_exactly_once();
-    // Batched fastpath/compile + fastpath/forward stats land in this
-    // trial's profiler before it merges into the per-protocol aggregate.
-    session.flush_fastpath_profile();
   }
   prof::process_profile().merge(to_string(protocol), profiler);
   return result;
@@ -398,7 +395,6 @@ bool write_run_report(const ExperimentSpec& spec,
                                         audit_start)
               .count();
     }
-    session.flush_fastpath_profile();
     dive_install.reset();
     prof::process_profile().merge(to_string(sweep.protocol), dive_profiler);
     const prof::PhaseMap profile =

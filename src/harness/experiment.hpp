@@ -100,7 +100,7 @@ struct SweepResult {
 /// Machine-readable CSV (group_size,protocol,metric,mean,ci95,trials).
 [[nodiscard]] std::string format_csv(const std::vector<SweepResult>& results);
 
-/// Writes a machine-readable JSON run report (schema hbh.run_report/v1) to
+/// Writes a machine-readable JSON run report (schema hbh.run_report/v2) to
 /// `path`: the sweep summary in `results`, plus one fully instrumented
 /// re-run per protocol (largest group size, trial 0, telemetry enabled) with
 /// registry metrics, sampled protocol-state time series, and per-type
@@ -159,7 +159,7 @@ bool maybe_write_audit_from_env(const ExperimentSpec& spec,
 
 /// Writes the process-wide phase profile accumulated so far (every trial
 /// run_trial executed, the report deep-dives, report rendering) as a
-/// standalone hbh.perf_profile/v1 document keyed by protocol label.
+/// standalone hbh.perf_profile/v2 document keyed by protocol label.
 /// Timings vary run to run; phase counts are deterministic at any
 /// HBH_JOBS. Returns false if the file could not be created.
 bool write_profile_file(std::string_view figure, const std::string& path);

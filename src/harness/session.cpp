@@ -5,7 +5,6 @@
 
 #include "harness/churn_plan.hpp"
 #include "harness/multi_source.hpp"
-#include "mcast/fastpath/compiled_forwarder.hpp"
 #include "mcast/hbh/router.hpp"
 #include "mcast/hbh/source.hpp"
 #include "mcast/pim/router.hpp"
@@ -104,9 +103,6 @@ Session::Session(topo::Scenario scenario, Protocol protocol,
   create_channel(scenario_.source_host);  // channel 0: the default channel
   net_->start();
   started_ = true;
-  if (config.fastpath.value_or(env_fastpath())) {
-    fastpath_ = std::make_unique<fastpath::CompiledForwarder>(*net_);
-  }
   // HBH_AUDIT turns every session in the process into a self-checking
   // correctness probe (strict: the first violation throws).
   if (const std::string mode = env_audit(); !mode.empty()) {
@@ -206,21 +202,6 @@ metrics::Registry& Session::enable_telemetry(Time sample_period) {
   });
   reg.bind_gauge("sim.queue_pushes", [this] {
     return static_cast<double>(sim_.queue().total_pushes());
-  });
-
-  // Compiled data-plane fast path (0 when HBH_FASTPATH=0): replayed hops,
-  // lazy block/entry compiles, and invalidation notifications. Counts are
-  // simulation-deterministic, so they are scrubbed from byte-identity
-  // comparisons alongside the timing fields (docs/OBSERVABILITY.md).
-  reg.bind_gauge("fastpath.hits", [this] {
-    return static_cast<double>(fastpath_ ? fastpath_->stats().hits : 0);
-  });
-  reg.bind_gauge("fastpath.recompiles", [this] {
-    return static_cast<double>(fastpath_ ? fastpath_->stats().recompiles : 0);
-  });
-  reg.bind_gauge("fastpath.invalidations", [this] {
-    return static_cast<double>(fastpath_ ? fastpath_->stats().invalidations
-                                         : 0);
   });
 
   // Unicast routing: how hard the lazy SPF cache is working (each
@@ -659,15 +640,6 @@ void Session::recompute_routes() {
   // link-down/up/crash event. The Network keeps pointing at the same
   // UnicastRouting instance, so no rebind is needed.
   routes_->invalidate();
-  // Topology/route epochs invalidate every compiled forwarding block.
-  // Compiled blocks hold no route-derived data today (next_hop and link
-  // state are consulted live), but the epoch bump keeps the invariant
-  // "any control-plane shape change dirties the compiled plane" airtight.
-  if (fastpath_) fastpath_->invalidate_all();
-}
-
-void Session::flush_fastpath_profile() {
-  if (fastpath_) fastpath_->flush_profile();
 }
 
 void Session::set_link_cost(NodeId a, NodeId b, double cost) {
@@ -933,10 +905,8 @@ RouterClass Session::router_class(NodeId router, ChannelId id) const {
 void Session::apply_backbone_capacity(double capacity, std::size_t queue_limit,
                                       net::AqmPolicy aqm) {
   topo::apply_backbone_capacity(scenario_.topo, capacity, queue_limit, aqm);
-  // Forwarding decisions do not depend on capacity (transmit reads the
-  // edge live) and costs are untouched, so no route recompute is needed;
-  // the epoch bump keeps the compiled-plane invariant airtight anyway.
-  if (fastpath_) fastpath_->invalidate_all();
+  // Transmit reads capacity from the edge live and costs are untouched,
+  // so no route recompute is needed.
 }
 
 AggregateCensus Session::aggregate_census() const {

@@ -37,10 +37,6 @@
 #include "sim/simulator.hpp"
 #include "topo/builders.hpp"
 
-namespace hbh::fastpath {
-class CompiledForwarder;
-}
-
 namespace hbh::harness {
 
 class ChurnPlan;
@@ -60,10 +56,6 @@ struct SessionConfig {
   /// Multicast-incapable routers (unicast clouds): these get the default
   /// forwarding agent instead of a protocol agent.
   std::vector<NodeId> unicast_only{};
-  /// Compiled data-plane fast path (src/mcast/fastpath). Unset defers to
-  /// the HBH_FASTPATH environment knob (default on); simulation outputs
-  /// are byte-identical either way — only the wall clock changes.
-  std::optional<bool> fastpath{};
 };
 
 /// Result of one measurement round (one probe packet).
@@ -384,8 +376,8 @@ class Session {
 
   /// Switches the forwarding-plane invariant auditor on: installs a
   /// metrics::Auditor as a persistent packet tap (observing every wire
-  /// copy, drop, and delivery — compiled fast path included) and feeds it
-  /// membership/emission/table notifications from the harness. Detection
+  /// copy, drop, and delivery) and feeds it membership/emission/table
+  /// notifications from the harness. Detection
   /// thresholds derive from this session's soft-state timers. `strict`
   /// makes the first violation throw. Idempotent; also auto-enabled by
   /// the HBH_AUDIT environment knob (docs/OBSERVABILITY.md). Free on the
@@ -421,18 +413,6 @@ class Session {
   /// Sum of all agents' receive/timer counters (always available),
   /// including per-channel source sub-agents.
   [[nodiscard]] net::AgentStats aggregate_agent_stats() const;
-
-  /// The compiled data-plane fast path; null when disabled (HBH_FASTPATH=0
-  /// or SessionConfig::fastpath = false).
-  [[nodiscard]] fastpath::CompiledForwarder* fastpath() noexcept {
-    return fastpath_.get();
-  }
-
-  /// Flushes the fast path's batched "fastpath/compile" / "fastpath/forward"
-  /// phase stats into the calling thread's installed PhaseProfiler. The
-  /// harness calls this at the end of each profiled trial; a no-op when the
-  /// fast path is off or no profiler is installed.
-  void flush_fastpath_profile();
 
  private:
   friend class ChannelHandle;
@@ -498,9 +478,6 @@ class Session {
   sim::Simulator sim_;
   std::unique_ptr<routing::UnicastRouting> routes_;
   std::unique_ptr<net::Network> net_;
-  /// Declared after net_ so it detaches from the network before the
-  /// network dies (destruction is reverse declaration order).
-  std::unique_ptr<fastpath::CompiledForwarder> fastpath_;
   /// Channels in creation order; id 0 is the default channel. A deque so
   /// channel() references stay stable across create_channel().
   std::deque<ChannelState> channels_;

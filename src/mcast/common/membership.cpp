@@ -30,7 +30,8 @@ void ReceiverHost::subscribe(const net::Channel& channel, Ipv4Addr root) {
   sub.timer->start();  // periodic refreshes; the first join goes out now
   subs_.emplace(channel, std::move(sub));
   send_refresh(channel);
-  log(LogLevel::kDebug, to_string(self()), " subscribe ", channel.to_string());
+  HBH_LOG(LogLevel::kDebug, to_string(self()), " subscribe ",
+      channel.to_string());
 }
 
 void ReceiverHost::unsubscribe(const net::Channel& channel) {
@@ -53,7 +54,7 @@ void ReceiverHost::unsubscribe(const net::Channel& channel) {
   // HBH/REUNITE leave is purely soft-state: simply stop sending joins
   // (§2.1 "The receiver simply stops sending join messages").
   subs_.erase(it);
-  log(LogLevel::kDebug, to_string(self()), " unsubscribe ",
+  HBH_LOG(LogLevel::kDebug, to_string(self()), " unsubscribe ",
       channel.to_string());
 }
 
@@ -106,7 +107,7 @@ bool ReceiverHost::accept_data(const Packet& packet) {
     if (sink_ != nullptr) {
       sink_->on_data(self(), packet, simulator().now());
     }
-    log(LogLevel::kTrace, to_string(self()), " got data seq=", d.seq,
+    HBH_LOG(LogLevel::kTrace, to_string(self()), " got data seq=", d.seq,
         " delay=", simulator().now() - d.sent_at);
   }
   return true;

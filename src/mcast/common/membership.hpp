@@ -80,19 +80,18 @@ class ReceiverHost : public net::ProtocolAgent {
 
   void handle(net::Packet&& packet, NodeId from) override;
 
-  /// The data-termination decision, shared verbatim by handle() and the
-  /// compiled fast path: records the delivery (trace instant, Delivery,
-  /// sink, log) when subscribed and returns true when the packet ends here
-  /// (also for unsubscribed self-addressed data); false means the packet
-  /// is not ours and should be forwarded.
-  bool accept_data(const net::Packet& packet);
-
   /// True while the receiver considers itself connected to the channel's
   /// tree: a tree(S, r) addressed to it arrived within ~2.5 refresh
   /// periods. Drives the REUNITE `fresh` join bit (re-anchoring signal).
   [[nodiscard]] bool connected(const net::Channel& channel) const;
 
  private:
+  /// The data-termination decision: records the delivery (trace instant,
+  /// Delivery, sink, log) when subscribed and returns true when the packet
+  /// ends here (also for unsubscribed self-addressed data); false means
+  /// the packet is not ours and should be forwarded.
+  bool accept_data(const net::Packet& packet);
+
   struct Subscription {
     Ipv4Addr root;
     std::unique_ptr<sim::PeriodicTimer> timer;

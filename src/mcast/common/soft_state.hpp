@@ -74,13 +74,9 @@ class SoftEntry {
     mark_expiry_ = kNeverExpires;
   }
 
-  /// Absolute expiry instants. The compiled fast path derives a validity
-  /// horizon from them: a compiled forwarding block can be replayed up to
-  /// (but not at) the earliest instant any consulted entry changes state,
-  /// matching the >= comparisons in stale()/dead()/marked() exactly.
-  [[nodiscard]] Time t1_expiry() const noexcept { return t1_expiry_; }
+  /// Absolute instant the entry dies (the auditor's soft-state-leak
+  /// deadline check).
   [[nodiscard]] Time t2_expiry() const noexcept { return t2_expiry_; }
-  [[nodiscard]] Time mark_expiry() const noexcept { return mark_expiry_; }
 
   /// Debug string: "fresh" / "stale" / "dead", with "+marked" suffix.
   [[nodiscard]] std::string state_string(Time now) const;

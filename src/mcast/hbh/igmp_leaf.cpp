@@ -66,7 +66,7 @@ void IgmpLeafRouter::on_igmp_report(const net::Channel& ch, NodeId host) {
         [this, ch] { send_upstream_join(ch); });
     group.join_timer->start();
     send_upstream_join(ch);
-    log(LogLevel::kDebug, to_string(self()), " IGMP leaf joins ",
+    HBH_LOG(LogLevel::kDebug, to_string(self()), " IGMP leaf joins ",
         ch.to_string(), " upstream for ", to_string(host));
   }
 }
@@ -79,7 +79,7 @@ void IgmpLeafRouter::on_igmp_leave(const net::Channel& ch, NodeId host) {
     // Last local member gone: stop refreshing; upstream soft state ages
     // out exactly as for a departing plain receiver.
     groups_.erase(it);
-    log(LogLevel::kDebug, to_string(self()), " IGMP leaf leaves ",
+    HBH_LOG(LogLevel::kDebug, to_string(self()), " IGMP leaf leaves ",
         ch.to_string());
   }
 }

@@ -105,8 +105,8 @@ void HbhRouter::send_fusion(const net::Channel& ch, Mft& mft,
   fusion.type = PacketType::kFusion;
   fusion.trace = ctx;
   fusion.payload = net::FusionPayload{mft.live_targets(now()), self_addr()};
-  log(LogLevel::kDebug, to_string(self()), " fusion -> ", upstream.to_string(),
-      " ", mft.to_string(now()));
+  HBH_LOG(LogLevel::kDebug, to_string(self()), " fusion -> ",
+      upstream.to_string(), " ", mft.to_string(now()));
   forward(std::move(fusion));
 }
 
@@ -128,7 +128,7 @@ void HbhRouter::on_join(Packet&& packet) {
         entry->refresh(config_, now());
         ++joins_intercepted_;
         trace_instant(packet.trace, "join-intercept", ch, join.receiver);
-        log(LogLevel::kTrace, to_string(self()), " intercepts join(",
+        HBH_LOG(LogLevel::kTrace, to_string(self()), " intercepts join(",
             join.receiver.to_string(), ")");
         send_self_join(ch, packet.trace);
         return;
@@ -249,7 +249,7 @@ void HbhRouter::on_tree(Packet&& packet) {
   st.mft->upsert(r, config_, now());
   note_structural(ch, 2);
   trace_instant(packet.trace, "branching", ch, r);
-  log(LogLevel::kDebug, to_string(self()), " becomes branching for ",
+  HBH_LOG(LogLevel::kDebug, to_string(self()), " becomes branching for ",
       ch.to_string(), " ", st.mft->to_string(now()));
   send_fusion(ch, *st.mft, tree.last_branch, packet.trace);
   packet.tree().last_branch = self_addr();
@@ -271,9 +271,6 @@ void HbhRouter::on_fusion(Packet&& packet) {
     return;
   }
   apply_fusion(*it->second.mft, packet.fusion(), config_, now());
-  // Marks (F2) and fusion-born entries (F3) change the data-eligible
-  // target set without going through note_structural — always flag.
-  note_table_mutation();
 }
 
 void HbhRouter::on_data(Packet&& packet) {
@@ -285,7 +282,7 @@ void HbhRouter::on_data(Packet&& packet) {
   purge(ch, packet.trace);
   const auto it = channels_.find(ch);
   if (it == channels_.end() || !it->second.mft) {
-    log(LogLevel::kDebug, to_string(self()),
+    HBH_LOG(LogLevel::kDebug, to_string(self()),
         " data addressed to non-branching node, dropped");
     return;
   }

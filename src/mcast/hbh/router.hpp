@@ -84,13 +84,6 @@ class HbhRouter : public net::ProtocolAgent {
     return joins_intercepted_;
   }
 
-  /// The duplicate-suppression guard consulted before every data fan-out.
-  /// The compiled fast path calls the live guard for its replayed hops so
-  /// the ring evolves exactly as under interpreted dispatch.
-  [[nodiscard]] ReplicationGuard& replication_guard(const net::Channel& ch) {
-    return guards_[ch];
-  }
-
  private:
   void on_join(net::Packet&& packet);
   void on_tree(net::Packet&& packet);
@@ -112,13 +105,11 @@ class HbhRouter : public net::ProtocolAgent {
   /// packet whose arrival triggered the purge).
   void purge(const net::Channel& ch, const net::TraceContext& ctx = {});
 
-  /// Records `n` structural changes against `ch` (and the global total),
-  /// and flags the mutation to the fabric for fast-path invalidation.
+  /// Records `n` structural changes against `ch` (and the global total).
   void note_structural(const net::Channel& ch, std::uint64_t n) {
     if (n == 0) return;
     structural_changes_ += n;
     structural_by_channel_[ch] += n;
-    note_table_mutation();
   }
 
   [[nodiscard]] Time now() const { return simulator().now(); }

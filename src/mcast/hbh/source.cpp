@@ -59,7 +59,7 @@ void HbhSource::handle(Packet&& packet, NodeId from) {
       }
       SoftEntry& entry = mft_.upsert(packet.join().receiver, config_, now);
       (void)entry;  // marked flag (if any) survives the refresh
-      log(LogLevel::kTrace, "source accepts join(",
+      HBH_LOG(LogLevel::kTrace, "source accepts join(",
           packet.join().receiver.to_string(), ")");
       return;
     }
@@ -70,7 +70,8 @@ void HbhSource::handle(Packet&& packet, NodeId from) {
         trace_instant(packet.trace, "evict", channel_, target);
       }
       apply_fusion(mft_, packet.fusion(), config_, now);
-      log(LogLevel::kDebug, "source MFT after fusion: ", mft_.to_string(now));
+      HBH_LOG(LogLevel::kDebug, "source MFT after fusion: ",
+          mft_.to_string(now));
       return;
     }
     case PacketType::kTree:

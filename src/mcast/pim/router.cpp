@@ -24,18 +24,15 @@ void PimRouter::purge(const net::Channel& ch, const net::TraceContext& ctx) {
   if (it == groups_.end()) return;
   const bool tracing = ctx.active() && net().trace_hook() != nullptr;
   auto& oifs = it->second.oifs;
-  bool changed = false;
   for (auto e = oifs.begin(); e != oifs.end();) {
     if (e->second.dead(now())) {
       if (tracing) trace_instant(ctx, "evict", ch);
       e = oifs.erase(e);
-      changed = true;
     } else {
       e = std::next(e);
     }
   }
   if (oifs.empty()) groups_.erase(it);
-  if (changed) note_table_mutation();
 }
 
 void PimRouter::handle(Packet&& packet, NodeId from) {
@@ -73,7 +70,6 @@ void PimRouter::on_prune(Packet&& packet, NodeId from) {
   // re-installs it — the standard PIM prune-override compromise.
   if (it->second.oifs.erase(from) != 0) {
     trace_instant(packet.trace, "oif-prune", ch, packet.pim_join().receiver);
-    note_table_mutation();
   }
   if (it->second.oifs.empty()) {
     groups_.erase(it);
@@ -81,7 +77,7 @@ void PimRouter::on_prune(Packet&& packet, NodeId from) {
     // we are the tree root (the prune's addressee).
     if (packet.dst != self_addr()) forward(std::move(packet));
   }
-  log(LogLevel::kTrace, to_string(self()), " PIM pruned oif ",
+  HBH_LOG(LogLevel::kTrace, to_string(self()), " PIM pruned oif ",
       to_string(from), " for ", ch.to_string());
 }
 
@@ -99,9 +95,8 @@ void PimRouter::on_join(Packet&& packet, NodeId from) {
   if (!inserted) it->second.refresh(config_, now());
   if (inserted) {
     trace_instant(packet.trace, "oif-install", ch, packet.pim_join().receiver);
-    note_table_mutation();
-    log(LogLevel::kTrace, to_string(self()), " PIM oif += ", to_string(from),
-        " for ", ch.to_string());
+    HBH_LOG(LogLevel::kTrace, to_string(self()), " PIM oif += ",
+        to_string(from), " for ", ch.to_string());
   }
   if (packet.dst == self_addr()) return;  // we are the root (RP) — stop
   forward(std::move(packet));             // keep travelling toward the root

@@ -33,8 +33,7 @@ class PimRouter : public net::ProtocolAgent {
   [[nodiscard]] std::vector<NodeId> oifs(const net::Channel& ch) const;
 
   /// Raw oif map for a channel, with soft-state entries (nullptr when the
-  /// router holds no group state). The compiled fast path reads neighbors
-  /// and expiry horizons from it.
+  /// router holds no group state); the auditor's table sweep reads it.
   [[nodiscard]] const std::map<NodeId, SoftEntry>* oif_entries(
       const net::Channel& ch) const {
     const auto it = groups_.find(ch);

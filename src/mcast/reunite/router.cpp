@@ -106,7 +106,7 @@ void ReuniteRouter::on_join(Packet&& packet) {
     mft.entries.emplace(r, SoftEntry{config_, now()});
     note_structural(ch, 1);
     trace_instant(packet.trace, "mft-insert", ch, r);
-    log(LogLevel::kDebug, to_string(self()), " REUNITE: ", r.to_string(),
+    HBH_LOG(LogLevel::kDebug, to_string(self()), " REUNITE: ", r.to_string(),
         " joins here ", mft.to_string(now()));
     return;
   }
@@ -125,8 +125,8 @@ void ReuniteRouter::on_join(Packet&& packet) {
       st.mft = std::move(mft);
       note_structural(ch, 2);
       trace_instant(packet.trace, "branching", ch, r);
-      log(LogLevel::kDebug, to_string(self()), " REUNITE becomes branching ",
-          st.mft->to_string(now()));
+      HBH_LOG(LogLevel::kDebug, to_string(self()),
+          " REUNITE becomes branching ", st.mft->to_string(now()));
       return;  // join is dropped
     }
   }

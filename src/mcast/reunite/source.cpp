@@ -88,12 +88,12 @@ void ReuniteSource::handle(Packet&& packet, NodeId from) {
     mft_->dst = r;
     mft_->dst_state = SoftEntry{config_, now};
     trace_instant(packet.trace, "mft-insert", channel_, r);
-    log(LogLevel::kDebug, "REUNITE source dst=", r.to_string());
+    HBH_LOG(LogLevel::kDebug, "REUNITE source dst=", r.to_string());
     return;
   }
   mft_->entries.emplace(r, SoftEntry{config_, now});
   trace_instant(packet.trace, "mft-insert", channel_, r);
-  log(LogLevel::kDebug, "REUNITE source adds ", r.to_string(), " ",
+  HBH_LOG(LogLevel::kDebug, "REUNITE source adds ", r.to_string(), " ",
       mft_->to_string(now));
 }
 

@@ -4,9 +4,9 @@
 // one delivery per subscribed receiver, forwarding state only where the
 // tree branches, soft state that dies within t2 of the last refresh. The
 // Auditor rides the fabric's existing observation seams (PacketTap for
-// per-hop wire events — including the new on_deliver choke point shared by
-// the interpreted path and the compiled fast path — plus harness-driven
-// membership/emission/table-sweep notifications) and turns every violation
+// per-hop wire events, including the on_deliver choke point every arrival
+// passes, plus harness-driven membership/emission/table-sweep
+// notifications) and turns every violation
 // into a structured AnomalyEvent: kind, virtual time, node, channel,
 // offending sequence number, and the causal trace id when tracing is on.
 //
@@ -15,9 +15,8 @@
 // AuditorConfig::max_events) for the HBH_AUDIT_OUT NDJSON stream, and
 // optionally fatal: strict mode throws on the first violation so CI turns
 // every bench into a self-checking correctness probe. Everything here
-// observes virtual time only, so output is byte-identical across HBH_JOBS
-// and HBH_FASTPATH; like all telemetry it compiles out to no-ops under
-// -DHBH_NO_TELEMETRY=ON.
+// observes virtual time only, so output is byte-identical across HBH_JOBS;
+// like all telemetry it compiles out to no-ops under -DHBH_NO_TELEMETRY=ON.
 #pragma once
 
 #include <array>
@@ -159,7 +158,7 @@ class Auditor : public net::PacketTap {
 
   /// Appends one NDJSON line per retained event (schema hbh.audit/v1;
   /// virtual-time fields only, so the stream is byte-identical across
-  /// HBH_JOBS/HBH_FASTPATH). `protocol` labels each line's origin run.
+  /// HBH_JOBS). `protocol` labels each line's origin run.
   void append_ndjson(std::string& out, std::string_view protocol) const;
 
  private:

@@ -1,4 +1,4 @@
-// Serialization of phase profiles (schema "hbh.perf_profile/v1").
+// Serialization of phase profiles (schema "hbh.perf_profile/v2").
 //
 // The profiler core lives in src/util/profiler.hpp so the instrumented
 // layers (routing, sim, mcast) can open HBH_PHASE scopes without a
@@ -28,7 +28,7 @@ using prof::PhaseScope;
 using prof::PhaseStats;
 using prof::ScopedProfiler;
 
-inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v1";
+inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v2";
 
 /// Writes a "phases" object value: {"<path>": {count, wall_ns, cpu_ns,
 /// allocs, alloc_bytes}, ...}. Expects the writer positioned for a value.

@@ -1,4 +1,4 @@
-// Machine-readable run reports (schema "hbh.run_report/v1").
+// Machine-readable run reports (schema "hbh.run_report/v2").
 //
 // A RunReport bundles everything one instrumented run produced — free-form
 // metadata, the Registry's counters/gauges/histograms, the StateSampler's
@@ -21,7 +21,7 @@
 
 namespace hbh::metrics {
 
-inline constexpr std::string_view kRunReportSchema = "hbh.run_report/v1";
+inline constexpr std::string_view kRunReportSchema = "hbh.run_report/v2";
 
 struct RunReport {
   /// Free-form string metadata ("protocol", "topology", ...).
@@ -35,7 +35,7 @@ struct RunReport {
   const MessageTrace* trace = nullptr;
   const Tracer* tracer = nullptr;                 ///< causal span summary
   const ConvergenceSummary* convergence = nullptr;
-  /// Aggregated phase profile (schema hbh.perf_profile/v1); omitted when
+  /// Aggregated phase profile (schema hbh.perf_profile/v2); omitted when
   /// null or empty. Phase counts are deterministic at any HBH_JOBS;
   /// timings are excluded from byte-identity checks.
   const PhaseMap* profile = nullptr;

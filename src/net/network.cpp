@@ -35,10 +35,6 @@ void ProtocolAgent::forward(Packet&& packet) {
   net_->send(node_, std::move(packet));
 }
 
-void ProtocolAgent::note_table_mutation() const {
-  net_->note_table_mutation(node_);
-}
-
 TraceContext ProtocolAgent::trace_root(std::string_view name,
                                        const Channel& channel,
                                        Ipv4Addr subject) const {
@@ -68,18 +64,15 @@ void ProtocolAgent::trace_instant(const TraceContext& parent,
 void ProtocolAgent::deliver_local(Packet&& packet, NodeId from) {
   (void)from;
   ++net_->counters().local_sink;
-  log(LogLevel::kTrace, to_string(node_), " sink ", packet.describe());
+  HBH_LOG(LogLevel::kTrace, to_string(node_), " sink ", packet.describe());
 }
 
 Network::Network(sim::Simulator& simulator, const Topology& topo,
                  const routing::UnicastRouting& routes)
     : sim_(simulator), topo_(topo), routes_(&routes) {
   agents_.resize(topo.node_count());
-  addr_to_node_.reserve(topo.node_count());
   for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
-    const NodeId n{i};
-    addr_to_node_.emplace(node_address(n), n);
-    attach(n, std::make_unique<ProtocolAgent>());
+    attach(NodeId{i}, std::make_unique<ProtocolAgent>());
   }
 }
 
@@ -89,8 +82,10 @@ Ipv4Addr Network::address_of(NodeId n) const {
 }
 
 NodeId Network::node_of(Ipv4Addr a) const {
-  const auto it = addr_to_node_.find(a);
-  return it == addr_to_node_.end() ? kNoNode : it->second;
+  // Inverse of node_address(): 10.hi.lo.1 is node (hi << 8) | lo.
+  if (a.octet(0) != 10 || a.octet(3) != 1) return kNoNode;
+  const std::uint32_t i = (a.bits() >> 8) & 0xFFFFu;
+  return i < topo_.node_count() ? NodeId{i} : kNoNode;
 }
 
 ProtocolAgent& Network::attach(NodeId n, std::unique_ptr<ProtocolAgent> agent) {
@@ -100,9 +95,6 @@ ProtocolAgent& Network::attach(NodeId n, std::unique_ptr<ProtocolAgent> agent) {
   agent->node_ = n;
   agent->addr_ = node_address(n);
   agents_[n.index()] = std::move(agent);
-  // Replacing an agent (crash/restart) changes what the node forwards —
-  // any compiled forwarding block for it is stale.
-  note_table_mutation(n);
   return *agents_[n.index()];
 }
 
@@ -133,7 +125,7 @@ void Network::remove_tap(PacketTap* tap) noexcept {
   taps_.erase(std::remove(taps_.begin(), taps_.end(), tap), taps_.end());
 }
 
-void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
+void Network::send(NodeId from, Packet packet) {
   assert(topo_.contains(from));
   const NodeId dst = node_of(packet.dst);
   if (!dst.valid()) {
@@ -143,13 +135,7 @@ void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
   if (dst == from) {
     // Self-addressed: deliver locally after zero delay (still through the
     // event queue so handling order stays deterministic).
-    if (sink != nullptr) {
-      sink->on_arrival(from, kNoNode, std::move(packet), 0);
-      return;
-    }
-    sim_.schedule(0, [this, from, p = std::move(packet)]() mutable {
-      deliver(from, kNoNode, std::move(p));
-    });
+    schedule_arrival(from, kNoNode, std::move(packet), 0);
     return;
   }
   const NodeId next = routes_->next_hop(from, dst);
@@ -164,11 +150,10 @@ void Network::send(NodeId from, Packet packet, ArrivalSink* sink) {
   --packet.ttl;
   const auto link = topo_.find_link(from, next);
   assert(link.has_value());  // routing only uses existing edges
-  transmit(*link, std::move(packet), sink);
+  transmit(*link, std::move(packet));
 }
 
-void Network::send_direct(NodeId from, NodeId neighbor, Packet packet,
-                          ArrivalSink* sink) {
+void Network::send_direct(NodeId from, NodeId neighbor, Packet packet) {
   assert(topo_.contains(from) && topo_.contains(neighbor));
   const auto link = topo_.find_link(from, neighbor);
   assert(link.has_value());
@@ -177,7 +162,7 @@ void Network::send_direct(NodeId from, NodeId neighbor, Packet packet,
     return;
   }
   --packet.ttl;
-  transmit(*link, std::move(packet), sink);
+  transmit(*link, std::move(packet));
 }
 
 void Network::set_impairment(NodeId from, NodeId to,
@@ -281,7 +266,7 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
   return true;
 }
 
-void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
+void Network::transmit(LinkId link, Packet packet) {
   const Topology::Edge& edge = topo_.edge(link);
   if (!edge.up) {
     drop(edge.from, packet, "link-down");
@@ -348,37 +333,40 @@ void Network::transmit(LinkId link, Packet packet, ArrivalSink* sink) {
     }
     if (tap_ != nullptr) tap_->on_transmit(edge, copy, sim_.now());
     for (PacketTap* tap : taps_) tap->on_transmit(edge, copy, sim_.now());
-    // The log arguments (to_string, describe) dominate per-hop cost when
-    // evaluated eagerly; log() re-checks enabled(), so guarding here only
-    // skips the formatting, never a line that would have been printed.
-    if (Logger::instance().enabled(LogLevel::kTrace)) {
-      log(LogLevel::kTrace, to_string(edge.from), "->", to_string(edge.to),
-          " ", copy.describe());
-    }
-    if (sink != nullptr) {
-      sink->on_arrival(to, from, std::move(copy), latency);
-    } else {
-      sim_.schedule(latency, [this, to, from, p = std::move(copy)]() mutable {
-        deliver(to, from, std::move(p));
-      });
-    }
+    HBH_LOG(LogLevel::kTrace, to_string(from), "->", to_string(to), " ",
+        copy.describe());
+    schedule_arrival(to, from, std::move(copy), latency);
   };
   if (duplicate) send_copy(packet, dup_extra_delay);
   send_copy(std::move(packet), extra_delay);
 }
 
-void Network::deliver(NodeId to, NodeId from, Packet packet) {
+void Network::schedule_arrival(NodeId to, NodeId from, Packet&& packet,
+                               Time delay) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{to, from, std::move(packet)});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = InFlight{to, from, std::move(packet)};
+  }
+  sim_.schedule(delay, [this, slot] { arrive(slot); });
+}
+
+void Network::arrive(std::uint32_t slot) {
+  // Take the packet and free the slot before the agent runs: it may send
+  // again, which can reuse the slot or grow (and move) the pool.
+  InFlight& parked = in_flight_[slot];
+  const NodeId to = parked.to;
+  const NodeId from = parked.from;
+  Packet packet = std::move(parked.packet);
+  free_slots_.push_back(slot);
   ProtocolAgent& agent = *agents_[to.index()];
   ++agent.stats_.rx_by_type[static_cast<std::size_t>(packet.type)];
-  // Taps observe the arrival before the fast-path offer: compiled and
-  // interpreted hops funnel through this one choke point, so auditors see
-  // both identically.
   if (tap_ != nullptr) tap_->on_deliver(to, from, packet, sim_.now());
   for (PacketTap* tap : taps_) tap->on_deliver(to, from, packet, sim_.now());
-  if (fastpath_ != nullptr && packet.type == PacketType::kData &&
-      fastpath_->on_deliver(to, from, packet)) {
-    return;
-  }
   agent.handle(std::move(packet), from);
 }
 
@@ -401,7 +389,7 @@ void Network::drop(NodeId at, const Packet& packet, std::string_view reason) {
   }
   if (tap_ != nullptr) tap_->on_drop(at, packet, reason, sim_.now());
   for (PacketTap* tap : taps_) tap->on_drop(at, packet, reason, sim_.now());
-  log(LogLevel::kDebug, to_string(at), " drop(", reason, ") ",
+  HBH_LOG(LogLevel::kDebug, to_string(at), " drop(", reason, ") ",
       packet.describe());
 }
 

@@ -14,7 +14,6 @@
 #include <deque>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/impairment.hpp"
@@ -24,10 +23,6 @@
 #include "sim/simulator.hpp"
 #include "util/ipv4.hpp"
 #include "util/rng.hpp"
-
-namespace hbh::fastpath {
-class CompiledForwarder;  // src/mcast/fastpath — friend of Network below
-}
 
 namespace hbh::net {
 
@@ -89,12 +84,6 @@ class ProtocolAgent {
   /// join refreshes) for the telemetry gauges.
   void count_timer_fire() noexcept { ++stats_.timer_fires; }
 
-  /// Tells the fabric this agent's forwarding state changed shape (table
-  /// insert/erase/convert, mark). Routers call it from every structural
-  /// mutation site so the compiled fast path can invalidate; a no-op when
-  /// no TableMutationListener is installed.
-  void note_table_mutation() const;
-
   /// Causal-tracing conveniences; all forward to the network's TraceHook
   /// and degrade to inactive contexts / no-ops when tracing is off.
   [[nodiscard]] TraceContext trace_root(std::string_view name,
@@ -155,46 +144,6 @@ class TraceHook {
                        std::string_view reason, Time now) = 0;
 };
 
-/// Data-plane fast-path seam. When installed, the fabric offers every
-/// arriving *data* packet to the fast path at delivery time — after the
-/// receive is counted, before the agent's virtual handle(). Returning true
-/// means the fast path fully handled the hop (replaying a compiled
-/// forwarding decision); false falls back to the interpreted agent, which
-/// is also how the fast path bails out around soft-state expiry horizons
-/// and dirty compiled blocks (src/mcast/fastpath/compiled_forwarder.hpp).
-class DataFastpath {
- public:
-  virtual ~DataFastpath() = default;
-  virtual bool on_deliver(NodeId to, NodeId from, Packet& packet) = 0;
-};
-
-/// Control-plane mutation seam: notified whenever a node's forwarding
-/// state changes shape — table insert/erase/convert, marks, agent
-/// replacement (crash/restart). The compiled fast path listens to
-/// invalidate that node's compiled blocks; recompilation is lazy.
-class TableMutationListener {
- public:
-  virtual ~TableMutationListener() = default;
-  virtual void on_table_mutation(NodeId node) = 0;
-};
-
-/// Internal fast-path seam: receiver of arrival notifications from the
-/// fabric's send/transmit machinery when the caller schedules deliveries
-/// itself (the compiled fast path batches them into slim events instead of
-/// per-packet move-captured lambdas). Not for general use — the interpreted
-/// path always passes nullptr.
-class ArrivalSink {
- public:
-  virtual ~ArrivalSink() = default;
-  /// One wire copy will arrive at `to` after `delay` (0 for a self-addressed
-  /// local delivery, `from` = kNoNode then); the sink owns scheduling the
-  /// delivery at now + delay, in call order. The packet is handed over by
-  /// rvalue — the fabric is done with it, so the sink can move it into its
-  /// own storage without a copy.
-  virtual void on_arrival(NodeId to, NodeId from, Packet&& packet,
-                          Time delay) = 0;
-};
-
 /// Observer of fabric activity; used by metrics probes and trace tooling.
 class PacketTap {
  public:
@@ -220,9 +169,7 @@ class PacketTap {
         (void)now;
   }
   /// A wire copy arrived at node `to` and is about to be handed to the
-  /// node's agent (or to the compiled fast path — both go through the
-  /// same choke point, so fast-path and interpreted runs are observed
-  /// identically). `from` is kNoNode for self-addressed local deliveries.
+  /// node's agent. `from` is kNoNode for self-addressed local deliveries.
   virtual void on_deliver(NodeId to, NodeId from, const Packet& packet,
                           Time now) {
     (void)to, (void)from, (void)packet, (void)now;
@@ -257,7 +204,8 @@ class Network {
   /// The unicast address assigned to node `n` (10.x.y.1 by node index).
   [[nodiscard]] Ipv4Addr address_of(NodeId n) const;
 
-  /// Reverse lookup; kNoNode for unknown addresses.
+  /// Reverse lookup by arithmetic on the 10.x.y.1 scheme; kNoNode for any
+  /// other address or an index past the topology.
   [[nodiscard]] NodeId node_of(Ipv4Addr a) const;
 
   /// Installs the protocol agent for a node (replacing any previous one).
@@ -279,14 +227,12 @@ class Network {
   /// Sends `packet` from node `from` toward packet.dst along unicast
   /// routing. Decrements TTL; drops on TTL expiry or missing route.
   /// If the destination is `from` itself the packet is delivered locally
-  /// after zero delay. `sink`, when non-null, receives the arrival instead
-  /// of the fabric scheduling it (fast path only).
-  void send(NodeId from, Packet packet, ArrivalSink* sink = nullptr);
+  /// after zero delay.
+  void send(NodeId from, Packet packet);
 
   /// Transmits `packet` across the specific link from->neighbor (which must
   /// exist). Used for multicast (RPF) forwarding along installed oifs.
-  void send_direct(NodeId from, NodeId neighbor, Packet packet,
-                   ArrivalSink* sink = nullptr);
+  void send_direct(NodeId from, NodeId neighbor, Packet packet);
 
   /// Sets the exclusive *measurement* tap slot (one active probe at a
   /// time; pass nullptr to clear). Persistent observers — telemetry stats,
@@ -303,26 +249,6 @@ class Network {
   /// packet gets a fresh child span stamped into its TraceContext.
   void set_trace_hook(TraceHook* hook) noexcept { trace_hook_ = hook; }
   [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
-
-  /// Installs the data-plane fast path (one per network, no ownership;
-  /// nullptr detaches — the interpreted path, HBH_FASTPATH=0).
-  void set_fastpath(DataFastpath* fastpath) noexcept { fastpath_ = fastpath; }
-  [[nodiscard]] DataFastpath* fastpath() const noexcept { return fastpath_; }
-
-  /// Installs the table-mutation listener (no ownership; nullptr detaches).
-  void set_mutation_listener(TableMutationListener* listener) noexcept {
-    mutation_listener_ = listener;
-  }
-  [[nodiscard]] TableMutationListener* mutation_listener() const noexcept {
-    return mutation_listener_;
-  }
-
-  /// Forwards a node's structural state change to the installed listener.
-  void note_table_mutation(NodeId node) {
-    if (mutation_listener_ != nullptr) {
-      mutation_listener_->on_table_mutation(node);
-    }
-  }
 
   [[nodiscard]] const NetworkCounters& counters() const noexcept {
     return counters_;
@@ -374,15 +300,23 @@ class Network {
   }
 
  private:
-  // The compiled fast path replays forwarding decisions through the same
-  // private transmit/deliver/drop machinery (via ArrivalSink), so
-  // counters, impairment streams, trace spans, and drop reasons stay
-  // byte-identical to the interpreted path.
-  friend class hbh::fastpath::CompiledForwarder;
+  /// One wire copy between transmission and arrival. In-flight packets
+  /// park in a recycled slot pool, so the arrival event captures only
+  /// {this, slot}: it fits std::function's small buffer and a hop
+  /// allocates nothing once the pool is warm.
+  struct InFlight {
+    NodeId to;
+    NodeId from;  ///< kNoNode for a self-addressed local delivery
+    Packet packet;
+  };
 
-  void transmit(LinkId link, Packet packet, ArrivalSink* sink = nullptr);
-  /// Hands an arrived packet to the node's agent (counting the receive).
-  void deliver(NodeId to, NodeId from, Packet packet);
+  void transmit(LinkId link, Packet packet);
+  /// Parks `packet` in a pool slot and schedules its arrival at `to` after
+  /// `delay` — exactly one event, pushed at the call's causal point.
+  void schedule_arrival(NodeId to, NodeId from, Packet&& packet, Time delay);
+  /// Arrival event: frees the slot, then hands its packet to the node's
+  /// agent (counting the receive).
+  void arrive(std::uint32_t slot);
   void drop(NodeId at, const Packet& packet, std::string_view reason);
 
   /// Egress queue of one capacitated directed edge. Occupancy is tracked
@@ -413,16 +347,15 @@ class Network {
   const Topology& topo_;
   const routing::UnicastRouting* routes_;
   std::vector<std::unique_ptr<ProtocolAgent>> agents_;
-  std::unordered_map<Ipv4Addr, NodeId> addr_to_node_;
   PacketTap* tap_ = nullptr;
   std::vector<PacketTap*> taps_;  ///< persistent observers (telemetry)
   TraceHook* trace_hook_ = nullptr;
-  DataFastpath* fastpath_ = nullptr;
-  TableMutationListener* mutation_listener_ = nullptr;
   NetworkCounters counters_;
   ImpairmentPlane impairments_;
   std::vector<EgressQueue> queues_;  ///< lazily sized; indexed by link
   std::uint64_t aqm_seed_ = kDefaultAqmSeed;
+  std::vector<InFlight> in_flight_;        ///< in-flight pool, by slot
+  std::vector<std::uint32_t> free_slots_;  ///< in_flight_ slots to reuse
 };
 
 /// Computes the 10.x.y.1 address for a node index (stable scheme used by

@@ -88,8 +88,6 @@ std::size_t env_dp_burst(std::size_t fallback) {
   return v > 0 ? static_cast<std::size_t>(v) : fallback;
 }
 
-bool env_fastpath() { return env_int_or("HBH_FASTPATH", 1) != 0; }
-
 std::string env_log_level() { return env_str_or("HBH_LOG_LEVEL", ""); }
 
 std::size_t env_channels(std::size_t fallback) {

@@ -48,7 +48,7 @@ namespace hbh {
 /// HBH_CSV — nonzero: benches also print machine-readable CSV.
 [[nodiscard]] bool env_csv();
 
-/// HBH_REPORT — path for the hbh.run_report/v1 JSON; empty = no report.
+/// HBH_REPORT — path for the hbh.run_report/v2 JSON; empty = no report.
 [[nodiscard]] std::string env_report_path();
 
 /// HBH_TRACE_OUT — path for a Perfetto/Chrome trace-event JSON of one
@@ -61,7 +61,7 @@ namespace hbh {
 /// knob set never overwrites one artifact with another.
 [[nodiscard]] std::string env_perf_out(std::string_view fallback);
 
-/// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v1 phase-profile
+/// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v2 phase-profile
 /// JSON of the whole process (docs/OBSERVABILITY.md "Phase profiling");
 /// empty = no profile file.
 [[nodiscard]] std::string env_prof_out();
@@ -81,12 +81,6 @@ namespace hbh {
 /// Packet counts in BENCH_perf_dataplane.json scale with it, so baseline
 /// comparisons must use the recorded value.
 [[nodiscard]] std::size_t env_dp_burst(std::size_t fallback);
-
-/// HBH_FASTPATH — nonzero (the default): Session installs the compiled
-/// data-plane fast path (src/mcast/fastpath); 0 = interpreted per-hop
-/// dispatch. Simulation outputs are byte-identical either way
-/// (docs/PERFORMANCE.md "The compiled data-plane fast path").
-[[nodiscard]] bool env_fastpath();
 
 /// HBH_LOG_LEVEL — trace|debug|info|warn|error; empty = keep default.
 [[nodiscard]] std::string env_log_level();

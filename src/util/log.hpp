@@ -99,17 +99,28 @@ void append_all(std::ostringstream& out, const T& first, const Rest&... rest) {
   out << first;
   append_all(out, rest...);
 }
-}  // namespace detail
 
-/// Logs `parts...` stream-concatenated at `level` if enabled.
+/// Stream-concatenates `parts...` and writes them at `level`. Reached only
+/// through HBH_LOG, after the level check: calling it directly would build
+/// the parts even when the level is off.
 template <typename... Parts>
 void log(LogLevel level, const Parts&... parts) {
-  Logger& logger = Logger::instance();
-  if (!logger.enabled(level)) return;
   std::ostringstream out;
-  detail::append_all(out, parts...);
-  logger.write(level, out.str());
+  append_all(out, parts...);
+  Logger::instance().write(level, out.str());
 }
+}  // namespace detail
+
+/// Logs the arguments stream-concatenated at `level`. The arguments are
+/// evaluated only when `level` is enabled, so a call site never builds a
+/// string (to_string, describe, table dumps) that a disabled level would
+/// throw away; keep side effects out of them.
+#define HBH_LOG(level, ...)                                \
+  do {                                                     \
+    if (::hbh::Logger::instance().enabled(level)) {        \
+      ::hbh::detail::log((level), __VA_ARGS__);            \
+    }                                                      \
+  } while (false)
 
 /// RAII capture of all log lines at or above `level`; restores the previous
 /// sink and level on destruction. Used by tests asserting on traces.

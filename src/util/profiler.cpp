@@ -69,11 +69,6 @@ void PhaseProfiler::exit() {
   path_.resize(f.parent_path_len);
 }
 
-void PhaseProfiler::record(std::string_view path, const PhaseStats& stats) {
-  if (stats.count == 0) return;
-  phases_[std::string(path)].merge(stats);
-}
-
 void PhaseProfiler::clear() {
   assert(stack_.empty() && "PhaseProfiler::clear with open scopes");
   phases_.clear();

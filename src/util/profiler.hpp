@@ -89,11 +89,6 @@ class PhaseProfiler {
   void enter(std::string_view name);
   void exit();
 
-  /// Merges pre-accumulated stats under `path` — for subsystems that batch
-  /// many tiny spans internally (e.g. the compiled data-plane fast path)
-  /// instead of paying an enter/exit pair per occurrence.
-  void record(std::string_view path, const PhaseStats& stats);
-
   [[nodiscard]] const PhaseMap& phases() const noexcept { return phases_; }
   [[nodiscard]] bool idle() const noexcept { return stack_.empty(); }
 

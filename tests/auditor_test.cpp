@@ -1,9 +1,9 @@
 // Forwarding-plane invariant auditor tests.
 //
 // Two halves, mirroring the auditor's contract:
-//   * zero false positives — clean converged runs of all four protocols,
-//     interpreted and compiled data plane alike, must report nothing; and
-//     the NDJSON stream must be byte-identical across those data planes.
+//   * zero false positives — clean converged runs of all four protocols
+//     must report nothing, and the NDJSON stream must be byte-identical
+//     across repeated runs.
 //   * true positives — each seeded fault (impairment duplication, a
 //     malicious bouncing agent, a crashed PIM router left down, a forcibly
 //     refreshed orphan table entry) must raise exactly the kind of anomaly
@@ -29,13 +29,12 @@ using metrics::Auditor;
 
 /// Converged ISP session for `p`: audit enabled before any join executes,
 /// 8 staggered receivers, warmed past the last join.
-std::unique_ptr<Session> clean_isp_session(Protocol p, bool fastpath) {
+std::unique_ptr<Session> clean_isp_session(Protocol p) {
   Rng rng{2024};
   auto scenario = topo::make_isp();
   topo::randomize_costs(scenario.topo, rng);
   const auto receivers = rng.sample(scenario.candidate_receivers(), 8);
-  SessionConfig config;
-  config.fastpath = fastpath;
+  const SessionConfig config;
   auto session = std::make_unique<Session>(std::move(scenario), p, config);
   session->enable_audit();
   Time delay = 0.1;
@@ -47,33 +46,31 @@ std::unique_ptr<Session> clean_isp_session(Protocol p, bool fastpath) {
   return session;
 }
 
-TEST(AuditorCleanRunTest, AllProtocolsAndDataPlanesReportZeroAnomalies) {
+TEST(AuditorCleanRunTest, AllProtocolsReportZeroAnomalies) {
   for (const Protocol p : all_protocols()) {
-    for (const bool fastpath : {false, true}) {
-      auto session = clean_isp_session(p, fastpath);
-      const Measurement m = session->measure();
-      session->audit_sweep();
-      const Auditor& auditor = *session->auditor();
-      EXPECT_EQ(auditor.total(), 0u)
-          << to_string(p) << " fastpath=" << fastpath << " first event: "
-          << (auditor.events().empty() ? "-" : auditor.events()[0].detail);
-      // The scenario itself must be a meaningful probe of the invariants.
-      EXPECT_TRUE(m.delivered_exactly_once()) << to_string(p);
-    }
+    auto session = clean_isp_session(p);
+    const Measurement m = session->measure();
+    session->audit_sweep();
+    const Auditor& auditor = *session->auditor();
+    EXPECT_EQ(auditor.total(), 0u)
+        << to_string(p) << " first event: "
+        << (auditor.events().empty() ? "-" : auditor.events()[0].detail);
+    // The scenario itself must be a meaningful probe of the invariants.
+    EXPECT_TRUE(m.delivered_exactly_once()) << to_string(p);
   }
 }
 
-TEST(AuditorCleanRunTest, NdjsonStreamIsByteIdenticalAcrossDataPlanes) {
+TEST(AuditorCleanRunTest, NdjsonStreamIsByteIdenticalAcrossRuns) {
   for (const Protocol p : all_protocols()) {
-    std::string interpreted;
-    std::string compiled;
-    for (std::string* out : {&interpreted, &compiled}) {
-      auto session = clean_isp_session(p, out == &compiled);
+    std::string first;
+    std::string second;
+    for (std::string* out : {&first, &second}) {
+      auto session = clean_isp_session(p);
       (void)session->measure();
       session->audit_sweep();
       session->auditor()->append_ndjson(*out, to_string(p));
     }
-    EXPECT_EQ(interpreted, compiled) << to_string(p);
+    EXPECT_EQ(first, second) << to_string(p);
   }
 }
 
@@ -141,9 +138,7 @@ TEST(AuditorTruePositiveTest, BouncingRouterRaisesLoop) {
   // audit_sweep here — the bouncer is not an HbhRouter to enumerate.
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
-  SessionConfig config;
-  config.fastpath = false;  // the imposter must handle every hop itself
-  Session session{scenario, Protocol::kHbh, config};
+  Session session{scenario, Protocol::kHbh};
   Auditor& auditor = session.enable_audit();
   session.subscribe(scenario.hosts[2]);
   session.run_for(120);

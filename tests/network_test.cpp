@@ -84,6 +84,17 @@ TEST(NetworkTest, AddressAssignmentIsStableAndReversible) {
   EXPECT_EQ(f.net->node_of(Ipv4Addr(1, 2, 3, 4)), kNoNode);
 }
 
+TEST(NetworkTest, NodeOfRejectsAddressesOutsideTheScheme) {
+  Fixture f;
+  f.build_line();
+  EXPECT_EQ(f.net->node_of(Ipv4Addr{}), kNoNode);                // 0.0.0.0
+  EXPECT_EQ(f.net->node_of(Ipv4Addr(232, 0, 0, 1)), kNoNode);    // class D
+  EXPECT_EQ(f.net->node_of(Ipv4Addr(10, 0, 2, 2)), kNoNode);     // host .2
+  EXPECT_EQ(f.net->node_of(node_address(NodeId{4})), kNoNode);   // index 4
+  EXPECT_EQ(f.net->node_of(Ipv4Addr(10, 255, 255, 1)), kNoNode);
+  EXPECT_EQ(f.net->node_of(Ipv4Addr(10, 0, 3, 1)), NodeId{3});
+}
+
 TEST(NetworkTest, NodeAddressSchemeSpansIndices) {
   EXPECT_EQ(node_address(NodeId{0}).to_string(), "10.0.0.1");
   EXPECT_EQ(node_address(NodeId{255}).to_string(), "10.0.255.1");
@@ -211,6 +222,44 @@ TEST(NetworkTest, SendDirectUsesNamedLinkOnly) {
   ASSERT_GE(tap.hops.size(), 2u);
   EXPECT_EQ(tap.hops[0], std::make_pair(NodeId{1}, NodeId{2}));
   EXPECT_EQ(tap.hops[1], std::make_pair(NodeId{2}, NodeId{1}));
+}
+
+TEST(NetworkTest, PacketsSentWhileDeliveringArriveIntactAndInOrder) {
+  // Node 1 answers every packet addressed to it with a burst of sends —
+  // to itself and to node 3 — from inside the delivery, so the in-flight
+  // pool is reused and grown while a packet is being handed over. Each
+  // echo re-reads the delivered packet after the previous send, so a
+  // packet still living in a reused or moved slot would show.
+  class Fanout : public ProtocolAgent {
+   protected:
+    void deliver_local(Packet&& p, NodeId) override {
+      if (p.data().seq >= 100) return;  // the echoes themselves end here
+      for (std::uint32_t k = 0; k < 8; ++k) {
+        Packet echo = p;
+        echo.data().seq = 100 + 10 * p.data().seq + k;
+        echo.dst = k % 2 == 0 ? net().address_of(NodeId{3}) : self_addr();
+        net().send(self(), std::move(echo));
+      }
+    }
+  };
+  Fixture f;
+  f.build_line();
+  f.net->attach(NodeId{1}, std::make_unique<Fanout>());
+  auto& sink = static_cast<RecordingAgent&>(
+      f.net->attach(NodeId{3}, std::make_unique<RecordingAgent>()));
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    Packet p = make_data(*f.net, NodeId{0}, NodeId{1});
+    p.payload = DataPayload{.seq = seq};
+    f.net->send(NodeId{0}, std::move(p));
+  }
+  f.sim.run();
+  ASSERT_EQ(sink.received.size(), 12u);
+  for (std::size_t i = 0; i < sink.received.size(); ++i) {
+    const std::uint32_t seq = 100 + 10 * static_cast<std::uint32_t>(i / 4) +
+                              2 * static_cast<std::uint32_t>(i % 4);
+    EXPECT_EQ(sink.received[i].packet.data().seq, seq) << i;
+    EXPECT_DOUBLE_EQ(sink.received[i].at, 6.0);  // 1 hop in, 2 hops out
+  }
 }
 
 TEST(NetworkTest, StartInvokesAllAgents) {

@@ -129,7 +129,7 @@ TEST(PerfProfileJson, WritesSchemaAndPhases) {
   metrics::JsonWriter w{out};
   metrics::write_perf_profile(w, phases);
   const std::string doc = out.str();
-  EXPECT_NE(doc.find("hbh.perf_profile/v1"), std::string::npos);
+  EXPECT_NE(doc.find("hbh.perf_profile/v2"), std::string::npos);
   EXPECT_NE(doc.find("\"warmup\""), std::string::npos);
   EXPECT_NE(doc.find("\"peak_rss_bytes\""), std::string::npos);
   // The artifact must itself be valid JSON.

@@ -1,6 +1,7 @@
 // Resilience tests: link failures with IGP reconvergence, deterministic
 // fault injection (loss / reordering / duplication), router crash and
-// restart, and multiple simultaneous channels.
+// restart, soft-state eviction, saturated queues, and multiple
+// simultaneous channels.
 //
 // Soft state is the protocols' fault-tolerance story: after routing
 // changes, join/tree refreshes re-anchor the tree on the new paths within
@@ -373,6 +374,74 @@ TEST(CrashRestartTest, NoStaleStateOutlivesT2AfterLeaveUnderLoss) {
     const auto census = session.state_census();
     EXPECT_EQ(census.forwarding_entries, 0u) << to_string(p);
     EXPECT_EQ(census.control_entries, 0u) << to_string(p);
+  }
+}
+
+TEST(SoftStateEvictionTest, DataStopsOnceLeftReceiversStateIsEvicted) {
+  // After the last receivers leave and idle far past every t2, no table
+  // entry survives and data injected afterwards reaches nobody.
+  const auto scenario = topo::attach_hosts(
+      topo::make_line(4), {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}}, 0);
+  for (const Protocol p : all_protocols()) {
+    Session session{scenario, p};
+    ChannelHandle ch = session.default_channel();
+    const auto& hosts = session.scenario().hosts;
+    ch.subscribe(hosts[2]);
+    ch.subscribe(hosts[3]);
+    session.run_for(120);
+    for (int round = 0; round < 3; ++round) {
+      (void)ch.inject_data();
+      session.run_for(20);
+    }
+    EXPECT_TRUE(ch.measure().delivered_exactly_once()) << to_string(p);
+    ASSERT_GT(session.receiver(hosts[2]).deliveries().size(), 0u)
+        << to_string(p);
+
+    ch.unsubscribe(hosts[2]);
+    ch.unsubscribe(hosts[3]);
+    session.run_for(400);
+    EXPECT_EQ(session.state_census().forwarding_entries, 0u) << to_string(p);
+    const std::size_t before2 = session.receiver(hosts[2]).deliveries().size();
+    const std::size_t before3 = session.receiver(hosts[3]).deliveries().size();
+    for (int round = 0; round < 3; ++round) {
+      (void)ch.inject_data();
+      session.run_for(20);
+    }
+    EXPECT_EQ(session.receiver(hosts[2]).deliveries().size(), before2)
+        << to_string(p);
+    EXPECT_EQ(session.receiver(hosts[3]).deliveries().size(), before3)
+        << to_string(p);
+  }
+}
+
+TEST(CongestionTest, SaturatedBackboneQueuesAndShedsOnEveryProtocol) {
+  // A queue small enough that a 12-copy burst overflows it at the first
+  // branching router; several bursts keep the backlog saturated, so every
+  // protocol's data must both queue and hit drop-tail.
+  Rng rng{2026};
+  topo::Scenario scenario = topo::make_isp();
+  topo::randomize_costs(scenario.topo, rng);
+  Rng pick{7};
+  const auto receivers = pick.sample(scenario.candidate_receivers(), 8);
+  for (const Protocol p : all_protocols()) {
+    Session session{scenario, p};
+    ChannelHandle ch = session.default_channel();
+    Time delay = 0.1;
+    for (const NodeId r : receivers) {
+      ch.subscribe(r, delay);
+      delay += 2.0;
+    }
+    session.run_for(delay + 200);
+    session.apply_backbone_capacity(400, 6);
+    for (int round = 0; round < 5; ++round) {
+      for (int b = 0; b < 12; ++b) (void)ch.inject_data();
+      session.run_for(15);
+    }
+    session.run_for(60);
+    const net::NetworkCounters& c = session.network().counters();
+    EXPECT_GT(c.queued_packets, 0u) << to_string(p);
+    EXPECT_GT(c.drops_queue_full, 0u) << to_string(p);
+    EXPECT_EQ(c.drops_red, 0u) << to_string(p);  // drop-tail only
   }
 }
 

@@ -552,7 +552,7 @@ TEST_F(SessionTelemetryTest, RunReportIsSchemaValidJson) {
   const std::string doc = out.str();
   EXPECT_TRUE(json_valid(doc)) << doc.substr(0, 400);
   for (const char* key :
-       {"\"schema\"", "\"hbh.run_report/v1\"", "\"counters\"", "\"gauges\"",
+       {"\"schema\"", "\"hbh.run_report/v2\"", "\"counters\"", "\"gauges\"",
         "\"series\"", "\"messages\"", "\"sample_period\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
@@ -574,7 +574,7 @@ TEST(RunReportTest, ExperimentReportEndToEnd) {
   const std::string doc = buffer.str();
   EXPECT_TRUE(json_valid(doc));
   for (const char* key :
-       {"\"hbh.run_report/v1\"", "\"sweep\"", "\"runs\"", "\"HBH\"",
+       {"\"hbh.run_report/v2\"", "\"sweep\"", "\"runs\"", "\"HBH\"",
         "\"PIM-SM\"", "\"series\"", "\"state.forwarding_entries\"",
         "\"messages\"", "\"wall_seconds\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;

@@ -259,33 +259,51 @@ TEST(StatsTest, PercentileNearestRank) {
 TEST(LogTest, CaptureRecordsAndRestores) {
   {
     LogCapture capture;
-    log(LogLevel::kInfo, "hello ", 42);
-    log(LogLevel::kTrace, "fine-grained");
+    HBH_LOG(LogLevel::kInfo, "hello ", 42);
+    HBH_LOG(LogLevel::kTrace, "fine-grained");
     EXPECT_TRUE(capture.contains("hello 42"));
     EXPECT_TRUE(capture.contains("fine-grained"));
     EXPECT_EQ(capture.lines().size(), 2u);
   }
   // After capture, default level (kWarn) suppresses info logs; nothing to
   // assert on stderr, but the call must not crash.
-  log(LogLevel::kInfo, "dropped");
+  HBH_LOG(LogLevel::kInfo, "dropped");
 }
 
 TEST(LogTest, LevelFiltering) {
   LogCapture capture{LogLevel::kWarn};
-  log(LogLevel::kDebug, "quiet");
-  log(LogLevel::kError, "loud");
+  HBH_LOG(LogLevel::kDebug, "quiet");
+  HBH_LOG(LogLevel::kError, "loud");
   EXPECT_FALSE(capture.contains("quiet"));
   EXPECT_TRUE(capture.contains("loud"));
 }
 
 TEST(LogTest, CountOccurrences) {
   LogCapture capture;
-  log(LogLevel::kInfo, "tick");
-  log(LogLevel::kInfo, "tick");
-  log(LogLevel::kInfo, "tock");
+  HBH_LOG(LogLevel::kInfo, "tick");
+  HBH_LOG(LogLevel::kInfo, "tick");
+  HBH_LOG(LogLevel::kInfo, "tock");
   EXPECT_EQ(capture.count("tick"), 2u);
   EXPECT_EQ(capture.count("tock"), 1u);
   EXPECT_EQ(capture.count("boom"), 0u);
+}
+
+TEST(LogTest, ArgumentsAreEvaluatedOnlyWhenTheLevelIsEnabled) {
+  int calls = 0;
+  const auto counted = [&calls] {
+    ++calls;
+    return std::string("built");
+  };
+  LogCapture capture{LogLevel::kInfo};
+  HBH_LOG(LogLevel::kDebug, "below ", counted());
+  EXPECT_EQ(calls, 0);
+  HBH_LOG(LogLevel::kInfo, "at ", counted());
+  EXPECT_EQ(calls, 1);
+  HBH_LOG(LogLevel::kError, "above ", counted());
+  EXPECT_EQ(calls, 2);
+  EXPECT_FALSE(capture.contains("below"));
+  EXPECT_TRUE(capture.contains("at built"));
+  EXPECT_TRUE(capture.contains("above built"));
 }
 
 TEST(EnvTest, IntParsingAndDefaults) {

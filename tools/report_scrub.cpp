@@ -1,16 +1,13 @@
 // report_scrub — strips machine-dependent fields from a bench/report JSON
-// so two runs can be compared byte-for-byte (the CI fast-path equivalence
-// tripwire: HBH_FASTPATH=0 and =1 must produce identical simulations).
+// so two runs (e.g. two builds of the same simulation, or two HBH_JOBS
+// settings) can be compared byte-for-byte.
 //
 // Dropped members, at any nesting depth:
 //   * wall-clock and host-load fields: wall_seconds, wall_ns, cpu_ns,
 //     packets_per_second, events_per_second, peak_rss_bytes,
 //     audit_wall_seconds
-//   * allocator counters (allocs, alloc_bytes): identical for a fixed
-//     build, but the fast path legitimately changes allocation shape
-//   * any key containing "fastpath": the fast-path telemetry (stats
-//     sub-objects, fastpath.* gauges, fastpath/* profile phases) is zero
-//     or absent with HBH_FASTPATH=0 by definition
+//   * allocator counters (allocs, alloc_bytes): they depend on the build
+//     and the allocator, not on what the simulation did
 //
 // Everything else — packet counts, event counts, queue pushes, drop
 // reasons, per-receiver delays, tree metrics — must match exactly.
@@ -38,7 +35,7 @@ bool scrubbed_key(std::string_view key) {
   for (const std::string_view k : kDropped) {
     if (key == k) return true;
   }
-  return key.find("fastpath") != std::string_view::npos;
+  return false;
 }
 
 void write_scrubbed(JsonWriter& w, const JsonValue& v) {
