@@ -33,6 +33,28 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000);
 
+// The shape the simulator actually sees: a few hundred pending events
+// (the perfbench workloads average 135–658), each pop followed by a
+// push a small integer delay plus jitter past the popped time, so pushes
+// land in the middle of the heap and many share a timestamp's integer
+// part. Unlike the batch push-then-drain above, the heap never shrinks.
+void BM_EventQueueSteadyState(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  Rng rng{4};
+  sim::EventQueue q;
+  for (std::size_t i = 0; i < pending; ++i) {
+    q.push(static_cast<Time>(rng.uniform_int(0, 8)), [] {});
+  }
+  for (auto _ : state) {
+    const Time now = q.pop().when;
+    const Time delay = static_cast<Time>(rng.uniform_int(0, 8)) +
+                       (rng.chance(0.5) ? rng.uniform(0, 0.01) : 0.0);
+    benchmark::DoNotOptimize(q.push(now + delay, [] {}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueSteadyState)->Arg(400);
+
 // Data-plane fan-out: a converged HBH session on the ISP topology, per-
 // iteration burst of emissions drained through the simulator. items/s is
 // data transmissions per second — the per-hop cost under the microbench
@@ -119,6 +141,26 @@ void BM_DijkstraIntoIsp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraIntoIsp);
+
+// One SPF on the sweep's topology (make_random50, as sweep_rand50 builds
+// it), rotating through the roots with warm buffers.
+void BM_DijkstraIntoRand50(benchmark::State& state) {
+  Rng rng{5};
+  auto scenario = topo::make_random50(rng);
+  topo::randomize_costs(scenario.topo, rng);
+  const auto n = static_cast<std::uint32_t>(scenario.topo.node_count());
+  routing::SpfResult out;
+  routing::DijkstraScratch scratch;
+  const routing::MetricFn metric = routing::cost_metric();
+  std::uint32_t root = 0;
+  for (auto _ : state) {
+    routing::dijkstra_into(scenario.topo, NodeId{root}, metric, out, scratch);
+    benchmark::DoNotOptimize(out.dist.data());
+    root = root + 1 == n ? 0 : root + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DijkstraIntoRand50);
 
 void BM_AllPairsRoutingRand50(benchmark::State& state) {
   Rng rng{5};

@@ -1,6 +1,5 @@
 #include "routing/dijkstra.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace hbh::routing {
@@ -29,22 +28,17 @@ void dijkstra_into(const net::Topology& topo, NodeId root,
   scratch.settled.assign(n, 0);
 
   using QEntry = DijkstraScratch::QEntry;
-  const auto later = [](const QEntry& a, const QEntry& b) noexcept {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    return a.order > b.order;
-  };
   auto& frontier = scratch.frontier;
   frontier.clear();
   std::uint64_t order = 0;
 
   out.dist[root.index()] = 0;
   out.delay[root.index()] = 0;
-  frontier.push_back(QEntry{0.0, order++, root.index()});
+  frontier.push(QEntry{key_bits(0.0), order++, root.index()});
 
   while (!frontier.empty()) {
-    std::pop_heap(frontier.begin(), frontier.end(), later);
-    const QEntry top = frontier.back();
-    frontier.pop_back();
+    const QEntry top = frontier.top();
+    frontier.pop();
     if (scratch.settled[top.node] != 0) continue;
     scratch.settled[top.node] = 1;
     const NodeId u{top.node};
@@ -61,9 +55,8 @@ void dijkstra_into(const net::Topology& topo, NodeId root,
         out.parent[v] = u;
         out.delay[v] = out.delay[top.node] + e.attrs.delay;
         out.first_hop[v] = (u == root) ? e.to : out.first_hop[top.node];
-        frontier.push_back(
-            QEntry{candidate, order++, static_cast<std::uint32_t>(v)});
-        std::push_heap(frontier.begin(), frontier.end(), later);
+        frontier.push(QEntry{key_bits(candidate), order++,
+                             static_cast<std::uint32_t>(v)});
       }
     }
   }

@@ -13,6 +13,7 @@
 
 #include "net/topology.hpp"
 #include "util/ids.hpp"
+#include "util/min_heap.hpp"
 
 namespace hbh::routing {
 
@@ -48,11 +49,15 @@ struct SpfResult {
 /// link-down/up/crash event.
 struct DijkstraScratch {
   struct QEntry {
-    double dist;
-    std::uint64_t order;  ///< settle-order tie-break for determinism
+    std::uint64_t dist_bits;  ///< key_bits(distance)
+    std::uint64_t order;      ///< push-order tie-break for determinism
     std::uint32_t node;
+    [[nodiscard]] HeapKey key() const noexcept {
+      return heap_key(dist_bits, order);
+    }
   };
-  std::vector<QEntry> frontier;
+  static_assert(sizeof(QEntry) == 24);
+  MinHeap<QEntry> frontier;
   std::vector<std::uint8_t> settled;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace hbh::sim {
@@ -15,6 +16,7 @@ constexpr std::uint64_t encode(std::uint32_t slot, std::uint32_t gen) noexcept {
 
 EventId EventQueue::push(Time when, Callback fn) {
   assert(fn != nullptr);
+  assert(when >= 0 && !std::isnan(when));
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -25,7 +27,7 @@ EventId EventQueue::push(Time when, Callback fn) {
   }
   slots_[slot].fn = std::move(fn);
   const std::uint32_t gen = slots_[slot].gen;
-  heap_.push(Entry{when, next_seq_++, slot, gen});
+  heap_.push(Entry{key_bits(when), next_seq_++, slot, gen});
   ++live_;
   return EventId{encode(slot, gen)};
 }
@@ -43,6 +45,7 @@ bool EventQueue::cancel(EventId id) {
   Callback released = std::move(slots_[slot].fn);
   retire_slot(slot);
   --live_;
+  skip_dead();
   return true;
 }
 
@@ -52,34 +55,28 @@ void EventQueue::retire_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::skip_dead() {
+void EventQueue::skip_dead() noexcept {
   while (!heap_.empty() && dead(heap_.top())) {
     heap_.pop();
   }
 }
 
-Time EventQueue::next_time() const {
-  auto* self = const_cast<EventQueue*>(this);  // skip_dead is logically const
-  self->skip_dead();
-  assert(!self->heap_.empty());
-  return self->heap_.top().when;
-}
-
 EventQueue::Fired EventQueue::pop() {
-  skip_dead();
   assert(!heap_.empty());
   const Entry top = heap_.top();
   // The callback moves straight out of the slot — the heap holds none, so
   // firing an event never copies a std::function.
-  Fired fired{top.when, std::move(slots_[top.slot].fn)};
+  Fired fired{std::bit_cast<Time>(top.when_bits),
+              std::move(slots_[top.slot].fn)};
   retire_slot(top.slot);
   --live_;
   heap_.pop();
+  skip_dead();
   return fired;
 }
 
 void EventQueue::clear() {
-  heap_ = {};
+  heap_.clear();
   // Bump every slot's generation so ids issued before the clear can never
   // alias an event pushed after it.
   free_slots_.clear();

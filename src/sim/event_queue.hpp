@@ -2,26 +2,30 @@
 //
 // Events fire in (time, sequence) order: two events scheduled for the same
 // instant execute in the order they were scheduled. That FIFO tie-break is
-// what makes every simulation in this repo bit-for-bit reproducible.
+// what makes every simulation in this repo bit-for-bit reproducible. The
+// heap is util/min_heap.hpp's MinHeap, keyed by `time bits << 64 | seq` —
+// the same total order as the (time, seq) pair for any time >= 0, compared
+// without a branch per field.
+//
 // Cancellation is O(1) via generation-stamped handles: an EventId packs a
 // liveness slot index and the slot's generation at push time, and firing or
 // cancelling bumps the generation, so stale heap entries (and stale ids)
 // are recognized by a single array compare. Cancelled events stay in the
-// heap and are skipped on pop — far cheaper than heap removal for the
-// soft-state timer churn the multicast protocols generate, and unlike the
-// hash-set tombstone scheme this replaces, push/cancel never allocate once
-// the slot pool is warm. Callbacks live in the slot pool rather than the
-// heap, so heap maintenance shuffles small PODs and a cancelled event's
-// captured state is released at cancel time, not when the tombstone
-// finally surfaces.
+// heap until they reach the top, where pop() and cancel() discard them —
+// far cheaper than heap removal for the soft-state timer churn the
+// multicast protocols generate, and push/cancel never allocate once the
+// slot pool is warm. Callbacks live in the slot pool rather than the heap,
+// so heap maintenance moves 24-byte PODs and a cancelled event's captured
+// state is released at cancel time, not when its dead entry surfaces.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/ids.hpp"
+#include "util/min_heap.hpp"
 
 namespace hbh::sim {
 
@@ -38,7 +42,8 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Enqueues `fn` to fire at absolute time `when`.
+  /// Enqueues `fn` to fire at absolute time `when`. Requires when >= 0
+  /// (-0.0 is treated as +0.0) and not NaN.
   EventId push(Time when, Callback fn);
 
   /// Cancels a pending event. Returns false if it already fired, was
@@ -65,8 +70,10 @@ class EventQueue {
     return next_seq_ - 1;
   }
 
-  /// Time of the earliest pending event; undefined when empty().
-  [[nodiscard]] Time next_time() const;
+  /// Time of the earliest pending event. Requires !empty().
+  [[nodiscard]] Time next_time() const noexcept {
+    return std::bit_cast<Time>(heap_.top().when_bits);
+  }
 
   /// Pops and returns the earliest event. Requires !empty().
   struct Fired {
@@ -84,17 +91,15 @@ class EventQueue {
   /// in the entry's slot, not the heap, so sift-up/down moves are plain
   /// memcpys instead of std::function move/destroy calls.
   struct Entry {
-    Time when;
-    std::uint64_t seq;   ///< global schedule order (same-time FIFO)
-    std::uint32_t slot;  ///< slot backing this entry (liveness + callback)
-    std::uint32_t gen;   ///< slot generation at push time
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+    std::uint64_t when_bits;  ///< key_bits(when)
+    std::uint64_t seq;        ///< global schedule order (same-time FIFO)
+    std::uint32_t slot;       ///< slot backing this entry (liveness + callback)
+    std::uint32_t gen;        ///< slot generation at push time
+    [[nodiscard]] HeapKey key() const noexcept {
+      return heap_key(when_bits, seq);
     }
   };
+  static_assert(sizeof(Entry) == 24);
   struct Slot {
     std::uint32_t gen = 0;  ///< bumped on fire/cancel/clear
     Callback fn;
@@ -109,10 +114,12 @@ class EventQueue {
   /// The slot's callback must already be released/moved out.
   void retire_slot(std::uint32_t slot);
 
-  /// Discards cancelled entries at the top of the heap.
-  void skip_dead();
+  /// Discards dead entries at the top of the heap. Run after every pop and
+  /// cancel, so the top is always live (or the heap empty) and next_time()
+  /// reads it directly.
+  void skip_dead() noexcept;
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  MinHeap<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  ///< slots available for reuse
   std::uint64_t next_seq_ = 1;

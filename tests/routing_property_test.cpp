@@ -3,6 +3,11 @@
 // every protocol's correctness sits on top of them.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <queue>
+#include <vector>
+
+#include "routing/dijkstra.hpp"
 #include "routing/unicast.hpp"
 #include "topo/builders.hpp"
 #include "topo/isp.hpp"
@@ -151,6 +156,82 @@ TEST_P(RoutingProperties, AsymmetryVanishesWhenSymmetrized) {
   const UnicastRouting routes{t};
   // Path sets may still differ on equal-cost ties, but cost skew must be 0.
   EXPECT_DOUBLE_EQ(measure_asymmetry(routes).max_cost_skew, 0.0);
+}
+
+/// Dijkstra on std::priority_queue, ordered by (distance, push order)
+/// compared field by field: the reference that dijkstra_into must match.
+SpfResult reference_dijkstra(const net::Topology& t, NodeId root) {
+  struct Item {
+    double dist;
+    std::uint64_t order;
+    std::uint32_t node;
+  };
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.dist != b.dist) return a.dist > b.dist;
+      return a.order > b.order;
+    }
+  };
+  const std::size_t n = t.node_count();
+  SpfResult out{root,
+                std::vector<double>(n, kUnreachable),
+                std::vector<NodeId>(n, kNoNode),
+                std::vector<NodeId>(n, kNoNode),
+                std::vector<Time>(n, std::numeric_limits<Time>::infinity())};
+  std::vector<bool> settled(n, false);
+  std::priority_queue<Item, std::vector<Item>, Later> frontier;
+  std::uint64_t order = 0;
+  out.dist[root.index()] = 0;
+  out.delay[root.index()] = 0;
+  frontier.push(Item{0.0, order++, root.index()});
+  while (!frontier.empty()) {
+    const Item top = frontier.top();
+    frontier.pop();
+    if (settled[top.node]) continue;
+    settled[top.node] = true;
+    const NodeId u{top.node};
+    for (const LinkId l : t.out_links(u)) {
+      const auto& e = t.edge(l);
+      if (!e.up) continue;
+      const std::size_t v = e.to.index();
+      const double candidate = out.dist[top.node] + e.attrs.cost;
+      if (candidate < out.dist[v]) {
+        out.dist[v] = candidate;
+        out.parent[v] = u;
+        out.delay[v] = out.delay[top.node] + e.attrs.delay;
+        out.first_hop[v] = (u == root) ? e.to : out.first_hop[top.node];
+        frontier.push(Item{candidate, order++, static_cast<std::uint32_t>(v)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST_P(RoutingProperties, DijkstraMatchesPriorityQueueReferenceUnderTies) {
+  // All-equal and small-integer costs make most frontier entries tie on
+  // distance, so the push-order half of the key picks among equal-cost
+  // parents; independent delays make a different pick visible in delay.
+  for (const int max_cost : {1, 3}) {
+    SCOPED_TRACE(max_cost);
+    net::Topology t = build();
+    Rng rng{GetParam().seed ^ 0x5151};
+    for (std::uint32_t l = 0; l < t.link_count(); ++l) {
+      t.set_cost_delay(LinkId{l},
+                       static_cast<double>(rng.uniform_int(1, max_cost)),
+                       static_cast<double>(rng.uniform_int(1, 9)));
+    }
+    SpfResult got;
+    DijkstraScratch scratch;  // shared across roots, as UnicastRouting does
+    for (std::uint32_t r = 0; r < t.node_count(); ++r) {
+      const NodeId root{r};
+      dijkstra_into(t, root, cost_metric(), got, scratch);
+      const SpfResult want = reference_dijkstra(t, root);
+      ASSERT_EQ(got.dist, want.dist) << "root n" << r;
+      ASSERT_EQ(got.parent, want.parent) << "root n" << r;
+      ASSERT_EQ(got.first_hop, want.first_hop) << "root n" << r;
+      ASSERT_EQ(got.delay, want.delay) << "root n" << r;
+    }
+  }
 }
 
 constexpr Case kCases[] = {

@@ -2,10 +2,17 @@
 // deadlines, periodic timers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace hbh::sim {
 namespace {
@@ -125,6 +132,105 @@ TEST(EventQueueTest, FifoOrderSurvivesCancelChurn) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 4, 5, 7, 8, 10, 11}));
 }
 
+TEST(EventQueueTest, NegativeZeroOrdersAsZero) {
+  // -0.0 >= 0 holds, so it is a legal timestamp; its sign bit must not
+  // sort it after every positive time.
+  EventQueue q;
+  std::vector<int> fired;
+  q.push(1.0, [&] { fired.push_back(1); });
+  q.push(-0.0, [&] { fired.push_back(0); });
+  q.push(0.0, [&] { fired.push_back(2); });  // same instant: FIFO after -0.0
+  EXPECT_EQ(q.next_time(), 0.0);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2, 1}));
+
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1e-9, [&] { order.push_back(1); });
+  sim.schedule_at(-0.0, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(EventQueueTest, OrdersTimestampsAcrossTheWholeRange) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double max = std::numeric_limits<double>::max();
+  const std::vector<double> sorted{0.0, tiny, 2 * tiny, 1e-300, 1.0,
+                                   1e300, max, inf};
+  EventQueue q;
+  std::vector<double> fired;
+  for (const std::size_t i : {6u, 0u, 7u, 3u, 1u, 5u, 2u, 4u}) {
+    q.push(sorted[i], [&fired, t = sorted[i]] { fired.push_back(t); });
+  }
+  while (!q.empty()) {
+    const Time next = q.next_time();
+    auto [when, fn] = q.pop();
+    EXPECT_EQ(when, next);
+    fn();
+  }
+  EXPECT_EQ(fired, sorted);
+}
+
+TEST(EventQueueTest, MatchesSortedReferenceUnderRandomOps) {
+  // Differential check of the (time, push-order) contract: every pop must
+  // return what a std::set ordered by (time, seq) says is first. Integer
+  // timestamps from a narrow range make most pushes tie on time, so the
+  // seq half of the key decides most comparisons.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    Rng rng{seed};
+    EventQueue q;
+    struct Issued {
+      EventId id;
+      std::pair<Time, std::uint64_t> key;
+      bool pending;
+    };
+    std::vector<Issued> issued;
+    std::set<std::pair<Time, std::uint64_t>> ref;  // (time, index in issued)
+    std::uint64_t ran = 0;
+    for (int op = 0; op < 100000; ++op) {
+      const double pick = rng.uniform01();
+      if (pick < 0.45 || ref.empty()) {
+        const auto when = static_cast<Time>(rng.uniform_int(0, 40));
+        const std::uint64_t index = issued.size();
+        const EventId id = q.push(when, [&ran, index] { ran = index; });
+        issued.push_back(Issued{id, {when, index}, true});
+        ref.insert({when, index});
+      } else if (pick < 0.80) {
+        const auto expected = *ref.begin();
+        ref.erase(ref.begin());
+        issued[expected.second].pending = false;
+        auto [when, fn] = q.pop();
+        ASSERT_EQ(when, expected.first);
+        fn();
+        ASSERT_EQ(ran, expected.second);
+      } else if (pick < 0.999) {
+        // Cancel the current top a third of the time, otherwise any id
+        // ever issued — pending, fired or already cancelled.
+        const std::uint64_t index =
+            rng.chance(1.0 / 3)
+                ? ref.begin()->second
+                : static_cast<std::uint64_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(issued.size()) - 1));
+        Issued& target = issued[index];
+        ASSERT_EQ(q.cancel(target.id), target.pending);
+        if (target.pending) ref.erase(target.key);
+        target.pending = false;
+      } else {
+        q.clear();
+        for (const auto& [when, index] : ref) issued[index].pending = false;
+        ref.clear();
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+      if (!ref.empty()) {
+        ASSERT_EQ(q.next_time(), ref.begin()->first);
+      }
+    }
+  }
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   std::vector<Time> stamps;
@@ -218,6 +324,84 @@ TEST(SimulatorTest, ExecutedCountsAcrossRuns) {
   EXPECT_EQ(sim.executed(), 1u);
   sim.run();
   EXPECT_EQ(sim.executed(), 3u);
+}
+
+/// Reference event loop for the differential test below: a std::map keyed
+/// by (time, schedule order), run to each deadline in key order.
+class ReferenceSim {
+ public:
+  using Id = std::pair<Time, std::uint64_t>;
+  Id schedule(Time delay, std::function<void()> fn) {
+    const Id id{now_ + delay, next_seq_++};
+    pending_.emplace(id, std::move(fn));
+    return id;
+  }
+  bool cancel(Id id) { return pending_.erase(id) == 1; }
+  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  void run(Time deadline) {
+    while (!pending_.empty() && pending_.begin()->first.first <= deadline) {
+      auto node = pending_.extract(pending_.begin());
+      now_ = node.key().first;
+      node.mapped()();
+    }
+  }
+
+ private:
+  std::map<Id, std::function<void()>> pending_;
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// Drives a self-scheduling workload: every event logs its tag, then
+/// schedules up to three events at small integer delays (0 included, so
+/// same-time FIFO is exercised from inside callbacks) and cancels a random
+/// earlier id. All choices come from one Rng, so the two loops see the
+/// same workload only while their event orders agree.
+template <class Sim>
+std::vector<std::int64_t> run_self_scheduling(Sim& sim, std::uint64_t seed) {
+  using Id = decltype(sim.schedule(0.0, [] {}));
+  Rng rng{seed};
+  std::vector<std::int64_t> log;
+  std::vector<Id> ids;
+  std::int64_t tags = 0;
+  std::function<void(std::int64_t)> fire = [&](std::int64_t tag) {
+    log.push_back(tag);
+    const std::int64_t spawn = tags < 100000 ? rng.uniform_int(0, 3) : 0;
+    for (std::int64_t k = 0; k < spawn; ++k) {
+      const auto delay = static_cast<Time>(rng.uniform_int(0, 4));
+      const std::int64_t next = tags++;
+      ids.push_back(sim.schedule(delay, [&fire, next] { fire(next); }));
+    }
+    if (!ids.empty() && rng.chance(0.2)) {
+      const auto victim = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+      log.push_back(sim.cancel(ids[victim]) ? -1 : -2);
+    }
+  };
+  for (int i = 0; i < 50; ++i) {
+    const std::int64_t tag = tags++;
+    ids.push_back(sim.schedule(static_cast<Time>(rng.uniform_int(0, 9)),
+                               [&fire, tag] { fire(tag); }));
+  }
+  // Deadlines land between integer timestamps and split the run into
+  // windows; the marker pins which events fired before each one.
+  for (Time deadline = 2.5; sim.pending() > 0; deadline += 7.5) {
+    sim.run(deadline);
+    log.push_back(-3);
+  }
+  return log;
+}
+
+TEST(SimulatorTest, CallbackSchedulingMatchesReferenceOrder) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    ReferenceSim ref;
+    const auto got = run_self_scheduling(sim, seed);
+    const auto want = run_self_scheduling(ref, seed);
+    ASSERT_GT(want.size(), 100000u);
+    ASSERT_EQ(got, want);
+  }
 }
 
 TEST(PeriodicTimerTest, FiresEveryPeriod) {
