@@ -134,9 +134,10 @@ void BM_DijkstraIntoIsp(benchmark::State& state) {
   topo::randomize_costs(scenario.topo, rng);
   routing::SpfResult out;
   routing::DijkstraScratch scratch;
-  const routing::MetricFn metric = routing::cost_metric();
+  std::vector<double> weights;
+  routing::link_weights(scenario.topo, routing::cost_metric(), weights);
   for (auto _ : state) {
-    routing::dijkstra_into(scenario.topo, NodeId{0}, metric, out, scratch);
+    routing::dijkstra_into(scenario.topo, NodeId{0}, weights, out, scratch);
     benchmark::DoNotOptimize(out.dist.data());
   }
 }
@@ -151,10 +152,11 @@ void BM_DijkstraIntoRand50(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(scenario.topo.node_count());
   routing::SpfResult out;
   routing::DijkstraScratch scratch;
-  const routing::MetricFn metric = routing::cost_metric();
+  std::vector<double> weights;
+  routing::link_weights(scenario.topo, routing::cost_metric(), weights);
   std::uint32_t root = 0;
   for (auto _ : state) {
-    routing::dijkstra_into(scenario.topo, NodeId{root}, metric, out, scratch);
+    routing::dijkstra_into(scenario.topo, NodeId{root}, weights, out, scratch);
     benchmark::DoNotOptimize(out.dist.data());
     root = root + 1 == n ? 0 : root + 1;
   }

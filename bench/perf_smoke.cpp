@@ -82,10 +82,11 @@ MicroResult micro_dijkstra(std::size_t iters) {
   topo::randomize_costs(scenario.topo, rng);
   routing::SpfResult out;
   routing::DijkstraScratch scratch;
-  const routing::MetricFn metric = routing::cost_metric();
+  std::vector<double> weights;
+  routing::link_weights(scenario.topo, routing::cost_metric(), weights);
   const auto start = Clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    routing::dijkstra_into(scenario.topo, NodeId{0}, metric, out, scratch);
+    routing::dijkstra_into(scenario.topo, NodeId{0}, weights, out, scratch);
   }
   return {"dijkstra_into_isp", static_cast<std::uint64_t>(iters),
           seconds_since(start)};

@@ -70,6 +70,32 @@ topo::Scenario build_scenario(const ExperimentSpec& spec, Rng& rng) {
   return topo::make_isp();
 }
 
+/// What a paired (group size, trial) cell gives every protocol: the
+/// cost-randomized scenario, the receiver sample, and one SPF table the
+/// protocols' sessions share, so each shortest-path tree of the cell is
+/// built once for all four (each session still routes on its own copy of
+/// the topology and detaches from the table on its first fault).
+struct TrialCell {
+  topo::Scenario scenario;
+  std::vector<NodeId> receivers;
+  std::shared_ptr<routing::SpfTable> routes;
+};
+
+TrialCell build_cell(const ExperimentSpec& spec, std::size_t group_size,
+                     std::size_t trial_index) {
+  Rng rng{cell_seed(spec, group_size, trial_index)};
+  TrialCell cell{build_scenario(spec, rng), {}, nullptr};
+  topo::randomize_costs(cell.scenario.topo, rng);
+  if (spec.symmetric_costs) topo::symmetrize_costs(cell.scenario.topo);
+
+  auto candidates = cell.scenario.candidate_receivers();
+  assert(group_size <= candidates.size());
+  cell.receivers = rng.sample(candidates, group_size);
+  cell.routes = std::make_shared<routing::SpfTable>(cell.scenario.topo,
+                                                    routing::cost_metric());
+  return cell;
+}
+
 /// The paired-trial session for one cell, with joins scheduled but nothing
 /// run yet — shared by run_trial and the instrumented report runs.
 struct TrialSetup {
@@ -77,27 +103,24 @@ struct TrialSetup {
   Time last_join = 0;  ///< time the last join fires
 };
 
+/// Sets up `protocol`'s trial on `cell`, first building the cell for
+/// (group_size, trial_index) if `cell` is empty — inside the trial_setup
+/// phase, so the first protocol of a cell is charged for building it.
 TrialSetup prepare_trial(const ExperimentSpec& spec, Protocol protocol,
-                         std::size_t group_size, std::size_t trial_index) {
+                         std::size_t group_size, std::size_t trial_index,
+                         std::optional<TrialCell>& cell) {
   HBH_PHASE("trial_setup");
-  Rng rng{cell_seed(spec, group_size, trial_index)};
-  topo::Scenario scenario = build_scenario(spec, rng);
-  topo::randomize_costs(scenario.topo, rng);
-  if (spec.symmetric_costs) topo::symmetrize_costs(scenario.topo);
-
-  auto candidates = scenario.candidate_receivers();
-  assert(group_size <= candidates.size());
-  const std::vector<NodeId> receivers = rng.sample(candidates, group_size);
+  if (!cell) cell = build_cell(spec, group_size, trial_index);
 
   TrialSetup setup;
-  setup.session =
-      std::make_unique<Session>(std::move(scenario), protocol, spec.session);
-  // Staggered joins in randomized order (the sample above is already
+  setup.session = std::make_unique<Session>(cell->scenario, protocol,
+                                            spec.session, cell->routes);
+  // Staggered joins in randomized order (the cell's sample is already
   // shuffled), spaced just over a tree period apart: each join meets the
   // state the previous receivers built, as in an ongoing session. The
   // warmup clock starts after the last join.
   Time delay = 0.1;
-  for (const NodeId r : receivers) {
+  for (const NodeId r : cell->receivers) {
     setup.session->subscribe(r, delay);
     delay += 1.2 * spec.session.timers.tree_period;
   }
@@ -105,20 +128,22 @@ TrialSetup prepare_trial(const ExperimentSpec& spec, Protocol protocol,
   return setup;
 }
 
-}  // namespace
-
-TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
-                      std::size_t group_size, std::size_t trial_index) {
+/// Runs one trial of `protocol` on `cell` (built on first use) under its
+/// own phase profiler.
+TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
+                           std::size_t group_size, std::size_t trial_index,
+                           std::optional<TrialCell>& cell) {
   // Per-trial profiler, merged into the process-wide per-protocol
   // aggregate on completion. Stats are integers summed under a mutex, so
   // the aggregated phase *counts* are identical no matter which TrialPool
-  // worker ran which trial (the HBH_JOBS determinism contract); only
+  // worker ran which cell (the HBH_JOBS determinism contract); only
   // timings vary.
   prof::PhaseProfiler profiler;
   TrialResult result;
   {
     const prof::ScopedProfiler install{profiler};
-    TrialSetup setup = prepare_trial(spec, protocol, group_size, trial_index);
+    TrialSetup setup =
+        prepare_trial(spec, protocol, group_size, trial_index, cell);
     Session& session = *setup.session;
     {
       HBH_PHASE("warmup");
@@ -132,6 +157,39 @@ TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
   }
   prof::process_profile().merge(to_string(protocol), profiler);
   return result;
+}
+
+/// Every ExperimentSpec input build_cell reads.
+struct CellKey {
+  TopoKind topology;
+  std::uint64_t base_seed;
+  bool symmetric_costs;
+  std::size_t group_size;
+  std::size_t trial_index;
+
+  friend bool operator==(const CellKey&, const CellKey&) = default;
+};
+
+}  // namespace
+
+TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
+                      std::size_t group_size, std::size_t trial_index) {
+  // One-entry memo of the last cell this thread ran: a caller that runs a
+  // cell's protocols back to back (perfbench's interleaved sweep) builds
+  // the scenario, receivers and SPF trees once. A different key drops the
+  // old cell before the new one is built, so one cell is alive at a time.
+  struct Memo {
+    std::optional<CellKey> key;
+    std::optional<TrialCell> cell;
+  };
+  thread_local Memo memo;
+  const CellKey key{spec.topology, spec.base_seed, spec.symmetric_costs,
+                    group_size, trial_index};
+  if (memo.key != key) {
+    memo.cell.reset();
+    memo.key = key;
+  }
+  return run_cell_trial(spec, protocol, group_size, trial_index, memo.cell);
 }
 
 Time run_to_quiescence(Session& session, Time quiet, Time horizon) {
@@ -191,33 +249,38 @@ SweepResult run_sweep(const ExperimentSpec& spec, Protocol protocol,
   std::vector<TrialResult> grid(spec.group_sizes.size() * trials);
   TrialPool pool{jobs};
   pool.run(grid.size(), [&](std::size_t i) {
-    grid[i] =
-        run_trial(spec, protocol, spec.group_sizes[i / trials], i % trials);
+    std::optional<TrialCell> cell;
+    grid[i] = run_cell_trial(spec, protocol, spec.group_sizes[i / trials],
+                             i % trials, cell);
   });
   return aggregate_sweep(spec, protocol, grid.data());
 }
 
 std::vector<SweepResult> run_all(const ExperimentSpec& spec,
                                  std::size_t jobs) {
-  // One flat (protocol, group size, trial) grid behind a single pool:
-  // workers drain cells across protocol boundaries, so a slow protocol's
-  // tail overlaps the next protocol's trials instead of serializing.
+  // One pool task per paired (group size, trial) cell: the worker builds
+  // the cell once and runs the four protocols on it back to back, so their
+  // sessions share one SPF table and the phase counts charged to each
+  // protocol do not depend on the job count. The order is all_protocols()
+  // reversed: HBH, the protocol under study, runs first and computes every
+  // tree it routes on, so its phase profile reads as if it ran alone; its
+  // siblings reuse those trees.
   const auto& protocols = all_protocols();
   const std::size_t trials = spec.trials;
-  const std::size_t per_protocol = spec.group_sizes.size() * trials;
-  std::vector<TrialResult> grid(protocols.size() * per_protocol);
+  const std::size_t cells = spec.group_sizes.size() * trials;
+  std::vector<TrialResult> grid(protocols.size() * cells);
   TrialPool pool{jobs};
-  pool.run(grid.size(), [&](std::size_t i) {
-    const Protocol protocol = protocols[i / per_protocol];
-    const std::size_t cell = i % per_protocol;
-    grid[i] = run_trial(spec, protocol, spec.group_sizes[cell / trials],
-                        cell % trials);
+  pool.run(cells, [&](std::size_t i) {
+    std::optional<TrialCell> cell;
+    for (std::size_t p = protocols.size(); p-- > 0;) {
+      grid[p * cells + i] = run_cell_trial(
+          spec, protocols[p], spec.group_sizes[i / trials], i % trials, cell);
+    }
   });
   std::vector<SweepResult> out;
   out.reserve(protocols.size());
   for (std::size_t p = 0; p < protocols.size(); ++p) {
-    out.push_back(
-        aggregate_sweep(spec, protocols[p], grid.data() + p * per_protocol));
+    out.push_back(aggregate_sweep(spec, protocols[p], grid.data() + p * cells));
   }
   return out;
 }
@@ -361,7 +424,8 @@ bool write_run_report(const ExperimentSpec& spec,
     prof::PhaseProfiler dive_profiler;
     std::optional<prof::ScopedProfiler> dive_install{std::in_place,
                                                     dive_profiler};
-    TrialSetup setup = prepare_trial(spec, sweep.protocol, size, 0);
+    std::optional<TrialCell> cell;  // fresh: independent of what ran before
+    TrialSetup setup = prepare_trial(spec, sweep.protocol, size, 0, cell);
     Session& session = *setup.session;
     session.enable_telemetry(spec.session.timers.tree_period);
     session.enable_tracing();
@@ -501,7 +565,8 @@ bool write_trace_file(const ExperimentSpec& spec, std::string_view figure,
   // is byte-identical at any HBH_JOBS setting.
   const std::size_t size =
       spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
-  TrialSetup setup = prepare_trial(spec, Protocol::kHbh, size, 0);
+  std::optional<TrialCell> cell;
+  TrialSetup setup = prepare_trial(spec, Protocol::kHbh, size, 0, cell);
   Session& session = *setup.session;
   session.enable_tracing();
   if (customize) customize(session);
@@ -536,7 +601,8 @@ bool write_audit_file(const ExperimentSpec& spec, std::string_view figure,
       spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
   std::string out;
   for (const Protocol protocol : all_protocols()) {
-    TrialSetup setup = prepare_trial(spec, protocol, size, 0);
+    std::optional<TrialCell> cell;
+    TrialSetup setup = prepare_trial(spec, protocol, size, 0, cell);
     Session& session = *setup.session;
     metrics::Auditor& auditor = session.enable_audit();
     if (customize) customize(session);

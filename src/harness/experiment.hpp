@@ -53,6 +53,9 @@ struct TrialResult {
 };
 
 /// Runs a single (topology variant, protocol, group size, trial) cell.
+/// The calling thread remembers the last paired cell it built (scenario,
+/// receivers, SPF table), so running a cell's protocols back to back
+/// builds them once; the result never depends on whether it was reused.
 [[nodiscard]] TrialResult run_trial(const ExperimentSpec& spec,
                                     Protocol protocol, std::size_t group_size,
                                     std::size_t trial_index);
@@ -85,9 +88,10 @@ struct SweepResult {
 [[nodiscard]] SweepResult run_sweep(const ExperimentSpec& spec,
                                     Protocol protocol, std::size_t jobs = 0);
 
-/// Runs all four protocols, fanning the whole (protocol, group size,
-/// trial) cell grid across one worker pool (same determinism contract and
-/// `jobs` semantics as run_sweep).
+/// Runs all four protocols, fanning the (group size, trial) grid across
+/// one worker pool: each task is one paired cell, whose four protocols run
+/// back to back on one worker (HBH first) and share the cell's SPF table
+/// (same determinism contract and `jobs` semantics as run_sweep).
 [[nodiscard]] std::vector<SweepResult> run_all(const ExperimentSpec& spec,
                                                std::size_t jobs = 0);
 

@@ -91,13 +91,16 @@ void ChannelHandle::schedule_churn(const ChurnPlan& plan) {
 // --- Session ---------------------------------------------------------------
 
 Session::Session(topo::Scenario scenario, Protocol protocol,
-                 SessionConfig config)
+                 SessionConfig config,
+                 std::shared_ptr<routing::SpfTable> routes)
     : scenario_(std::move(scenario)),
       protocol_(protocol),
       timers_(config.timers),
       unicast_only_(config.unicast_only) {
   assert(scenario_.source_host.valid());
-  routes_ = std::make_unique<routing::UnicastRouting>(scenario_.topo);
+  routes_ = routes ? std::make_unique<routing::UnicastRouting>(
+                         scenario_.topo, std::move(routes))
+                   : std::make_unique<routing::UnicastRouting>(scenario_.topo);
   net_ = std::make_unique<net::Network>(sim_, scenario_.topo, *routes_);
   install_agents(config);
   create_channel(scenario_.source_host);  // channel 0: the default channel
@@ -637,8 +640,9 @@ void Session::recompute_routes() {
   // Instantaneous IGP reconvergence: bump the routing epoch so every SPF
   // recomputes lazily on its next query. Fault-heavy runs (FaultPlan,
   // ablation_resilience) thus pay per queried root, not O(N·Dijkstra) per
-  // link-down/up/crash event. The Network keeps pointing at the same
-  // UnicastRouting instance, so no rebind is needed.
+  // link-down/up/crash event. A table shared with sibling sessions is left
+  // to them (copy-on-invalidate); the Network keeps pointing at the same
+  // UnicastRouting instance.
   routes_->invalidate();
 }
 

@@ -199,8 +199,14 @@ class Session {
   /// The scenario is copied (costs may be randomized per trial by the
   /// caller *before* constructing the session; routing is computed here).
   /// A default channel (id 0) is created at the scenario's source host.
+  /// `routes`, when given, is an SPF table built on an identical copy of
+  /// the scenario's topology under the cost metric: the session's routing
+  /// attaches to it instead of starting a private one, so sibling sessions
+  /// of a paired trial build each shortest-path tree once
+  /// (routing::UnicastRouting's copy-on-invalidate keeps faults private).
   Session(topo::Scenario scenario, Protocol protocol,
-          SessionConfig config = {});
+          SessionConfig config = {},
+          std::shared_ptr<routing::SpfTable> routes = nullptr);
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

@@ -139,6 +139,7 @@ NodeId choose_rp_delay_aware(const routing::UnicastRouting& routes,
                              NodeId source) {
   assert(!routers.empty());
   const auto& topo = routes.topology();
+  std::vector<LinkId> up;  // other->candidate links, candidate end first
   NodeId best = kNoNode;
   double best_score = routing::kUnreachable;
   for (const NodeId candidate : routers) {
@@ -148,13 +149,20 @@ NodeId choose_rp_delay_aware(const routing::UnicastRouting& routes,
     for (const NodeId other : routers) {
       if (other == candidate) continue;
       // Shared-tree data path to `other`: the reverse of other->rp,
-      // traversed in the data direction.
-      const auto up = routes.path(other, candidate);
+      // traversed in the data direction. The parent links of other's tree
+      // yield other->rp from the rp end; the sum runs from other's end so
+      // the floating-point accumulation order is the path order.
+      const routing::SpfResult& tree = routes.spf(other);
+      up.clear();
+      for (LinkId l = tree.parent_link[candidate.index()]; l.valid();
+           l = tree.parent_link[topo.edge(l).from.index()]) {
+        up.push_back(l);
+      }
       Time delay = 0;
-      for (std::size_t i = 0; i + 1 < up.size(); ++i) {
-        const auto link = topo.find_link(up[i + 1], up[i]);
-        assert(link.has_value());
-        delay += topo.edge(*link).attrs.delay;
+      for (auto it = up.rbegin(); it != up.rend(); ++it) {
+        const LinkId back = topo.reverse(*it);
+        assert(back.valid());
+        delay += topo.edge(back).attrs.delay;
       }
       down += delay;
       ++n;

@@ -69,7 +69,7 @@ void ProtocolAgent::deliver_local(Packet&& packet, NodeId from) {
 
 Network::Network(sim::Simulator& simulator, const Topology& topo,
                  const routing::UnicastRouting& routes)
-    : sim_(simulator), topo_(topo), routes_(&routes) {
+    : sim_(simulator), topo_(topo), routes_(routes) {
   agents_.resize(topo.node_count());
   for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
     attach(NodeId{i}, std::make_unique<ProtocolAgent>());
@@ -138,8 +138,8 @@ void Network::send(NodeId from, Packet packet) {
     schedule_arrival(from, kNoNode, std::move(packet), 0);
     return;
   }
-  const NodeId next = routes_->next_hop(from, dst);
-  if (!next.valid()) {
+  const LinkId link = routes_.first_link(from, dst);
+  if (!link.valid()) {
     drop(from, packet, "no-route");
     return;
   }
@@ -148,9 +148,7 @@ void Network::send(NodeId from, Packet packet) {
     return;
   }
   --packet.ttl;
-  const auto link = topo_.find_link(from, next);
-  assert(link.has_value());  // routing only uses existing edges
-  transmit(*link, std::move(packet));
+  transmit(link, std::move(packet));
 }
 
 void Network::send_direct(NodeId from, NodeId neighbor, Packet packet) {

@@ -258,13 +258,7 @@ class Network {
   [[nodiscard]] sim::Simulator& simulator() const noexcept { return sim_; }
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
   [[nodiscard]] const routing::UnicastRouting& routes() const noexcept {
-    return *routes_;
-  }
-
-  /// Swaps in freshly computed routes (e.g. after a link failure). Models
-  /// instantaneous IGP reconvergence; in-flight packets are unaffected.
-  void rebind_routes(const routing::UnicastRouting& routes) noexcept {
-    routes_ = &routes;
+    return routes_;
   }
 
   /// Per-link fault injection (docs/RESILIENCE.md). Impairments apply at
@@ -345,7 +339,7 @@ class Network {
 
   sim::Simulator& sim_;
   const Topology& topo_;
-  const routing::UnicastRouting* routes_;
+  const routing::UnicastRouting& routes_;
   std::vector<std::unique_ptr<ProtocolAgent>> agents_;
   PacketTap* tap_ = nullptr;
   std::vector<PacketTap*> taps_;  ///< persistent observers (telemetry)

@@ -39,7 +39,9 @@ LinkId Topology::add_link(NodeId from, NodeId to, LinkSpec spec) {
   assert(!find_link(from, to).has_value());
   check_spec(spec);
   const LinkId id{static_cast<std::uint32_t>(edges_.size())};
-  edges_.push_back(Edge{from, to, spec});
+  const std::optional<LinkId> back = find_link(to, from);
+  edges_.push_back(Edge{from, to, spec, true, back.value_or(kNoLink)});
+  if (back) edges_[back->index()].reverse = id;
   out_[from.index()].push_back(id);
   return id;
 }
@@ -76,6 +78,8 @@ const Topology::Edge& Topology::edge(LinkId l) const {
   assert(l.valid() && l.index() < edges_.size());
   return edges_[l.index()];
 }
+
+LinkId Topology::reverse(LinkId link) const { return edge(link).reverse; }
 
 std::span<const LinkId> Topology::out_links(NodeId n) const {
   assert(contains(n));

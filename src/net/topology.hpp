@@ -108,6 +108,7 @@ class Topology {
     NodeId to;
     LinkSpec attrs;  ///< historical name; full LinkSpec since the redesign
     bool up = true;  ///< a down edge forwards nothing and carries no routes
+    LinkId reverse = kNoLink;  ///< see Topology::reverse()
   };
 
   /// Adds a node of the given kind; returns its id (dense, starting at 0).
@@ -159,6 +160,11 @@ class Topology {
 
   /// The edge from->to, if present.
   [[nodiscard]] std::optional<LinkId> find_link(NodeId from, NodeId to) const;
+
+  /// The opposite direction of `link` (to->from); kNoLink if that edge
+  /// does not exist. Constant time: recorded when the second direction is
+  /// added.
+  [[nodiscard]] LinkId reverse(LinkId link) const;
 
   /// All node ids of a given kind, ascending.
   [[nodiscard]] std::vector<NodeId> nodes_of_kind(NodeKind kind) const;

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -26,16 +27,25 @@ using MetricFn = std::function<double(const net::Topology::Edge&)>;
 /// The delay metric, for delay-based (QoS) routing experiments.
 [[nodiscard]] MetricFn delay_metric();
 
+/// Evaluates `metric` on every edge of `topo` into `out`, indexed by
+/// LinkId — the weight array dijkstra_into() relaxes against. Reuses
+/// `out`'s capacity.
+void link_weights(const net::Topology& topo, const MetricFn& metric,
+                  std::vector<double>& out);
+
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
 /// Shortest-path tree rooted at `root`, following *outgoing* edges (so the
 /// result describes routes root -> v, matching data-plane direction).
+/// Paths are stored as link ids; the node views are one edge lookup away
+/// (topo.edge(parent_link[v]).from is v's predecessor,
+/// topo.edge(first_link[v]).to is the next hop from the root).
 struct SpfResult {
   NodeId root;
-  std::vector<double> dist;      ///< metric distance root->v; kUnreachable if none
-  std::vector<NodeId> parent;    ///< predecessor of v on the root->v path
-  std::vector<NodeId> first_hop; ///< first node after root on the root->v path
-  std::vector<Time> delay;       ///< propagation delay root->v along the path
+  std::vector<double> dist;        ///< metric distance root->v; kUnreachable if none
+  std::vector<LinkId> parent_link; ///< edge into v on the root->v path
+  std::vector<LinkId> first_link;  ///< first edge of the root->v path
+  std::vector<Time> delay;         ///< propagation delay root->v along the path
 
   [[nodiscard]] bool reachable(NodeId v) const {
     return dist[v.index()] < kUnreachable;
@@ -61,10 +71,12 @@ struct DijkstraScratch {
   std::vector<std::uint8_t> settled;
 };
 
-/// Runs Dijkstra from `root` into `out`, reusing the capacity of `out`'s
-/// vectors and `scratch`'s buffers. Results are identical to dijkstra().
+/// Runs Dijkstra from `root` into `out` under the per-link `weights`
+/// (indexed by LinkId, see link_weights()), reusing the capacity of
+/// `out`'s vectors and `scratch`'s buffers. Results are identical to
+/// dijkstra() under the metric the weights were built from.
 void dijkstra_into(const net::Topology& topo, NodeId root,
-                   const MetricFn& metric, SpfResult& out,
+                   std::span<const double> weights, SpfResult& out,
                    DijkstraScratch& scratch);
 
 /// Runs Dijkstra from `root`. Deterministic: ties are broken by preferring

@@ -2,6 +2,10 @@
 // table/CSV formatting, and the session plumbing they rely on.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "harness/experiment.hpp"
 #include "topo/isp.hpp"
 
@@ -96,6 +100,122 @@ TEST(ExperimentTest, ParallelSweepMatchesSerialSweep) {
     EXPECT_EQ(serial.cells[c].delivery_failures,
               parallel.cells[c].delivery_failures);
   }
+}
+
+/// Per-trial results keyed by (protocol, group size, trial index).
+using TrialGrid =
+    std::map<std::tuple<Protocol, std::size_t, std::size_t>, TrialResult>;
+
+void expect_same_trials(const TrialGrid& got, const TrialGrid& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [key, w] : want) {
+    const TrialResult& g = got.at(key);
+    EXPECT_EQ(g.tree_cost, w.tree_cost) << to_string(std::get<0>(key));
+    EXPECT_EQ(g.mean_delay, w.mean_delay) << to_string(std::get<0>(key));
+    EXPECT_EQ(g.delivered, w.delivered) << to_string(std::get<0>(key));
+  }
+}
+
+/// Folds `grid` in run_all's aggregation order and checks every cell of
+/// `sweeps` matches it bit for bit.
+void expect_matches_run_all(const std::vector<SweepResult>& sweeps,
+                            const ExperimentSpec& spec, const TrialGrid& grid) {
+  for (const SweepResult& sweep : sweeps) {
+    ASSERT_EQ(sweep.cells.size(), spec.group_sizes.size());
+    for (const SweepCell& cell : sweep.cells) {
+      RunningStats cost;
+      RunningStats delay;
+      std::size_t failures = 0;
+      for (std::size_t t = 0; t < spec.trials; ++t) {
+        const TrialResult& r = grid.at({sweep.protocol, cell.group_size, t});
+        cost.add(r.tree_cost);
+        delay.add(r.mean_delay);
+        if (!r.delivered) ++failures;
+      }
+      EXPECT_EQ(cell.tree_cost.mean(), cost.mean());
+      EXPECT_EQ(cell.tree_cost.variance(), cost.variance());
+      EXPECT_EQ(cell.mean_delay.mean(), delay.mean());
+      EXPECT_EQ(cell.mean_delay.variance(), delay.variance());
+      EXPECT_EQ(cell.delivery_failures, failures);
+    }
+  }
+}
+
+TEST(ExperimentTest, RunTrialCellReuseNeverChangesResults) {
+  // run_trial reuses the last paired cell it built on this thread (its
+  // scenario, receivers and SPF table). Whether a call hits or misses that
+  // memo must not show in any result, and all of them must equal run_all.
+  ExperimentSpec spec;
+  spec.topology = TopoKind::kRandom50;
+  spec.group_sizes = {5, 10};
+  spec.trials = 2;
+  const auto& protocols = all_protocols();
+
+  // Protocol-major: consecutive calls name different cells, so every call
+  // builds its cell afresh.
+  TrialGrid misses;
+  for (const Protocol p : protocols) {
+    for (const std::size_t g : spec.group_sizes) {
+      for (std::size_t t = 0; t < spec.trials; ++t) {
+        misses[{p, g, t}] = run_trial(spec, p, g, t);
+      }
+    }
+  }
+
+  // Cell-major with the first protocol rotating, each trial run twice in a
+  // row: the later calls of a cell reuse it, the repeats on a table that
+  // already holds every tree the protocol needs.
+  TrialGrid hits;
+  std::size_t rotate = 0;
+  for (const std::size_t g : spec.group_sizes) {
+    for (std::size_t t = 0; t < spec.trials; ++t, ++rotate) {
+      for (std::size_t j = 0; j < protocols.size(); ++j) {
+        const Protocol p = protocols[(rotate + j) % protocols.size()];
+        const TrialResult first = run_trial(spec, p, g, t);
+        const TrialResult again = run_trial(spec, p, g, t);
+        EXPECT_EQ(again.tree_cost, first.tree_cost);
+        EXPECT_EQ(again.mean_delay, first.mean_delay);
+        EXPECT_EQ(again.delivered, first.delivered);
+        hits[{p, g, t}] = first;
+      }
+    }
+  }
+  expect_same_trials(hits, misses);
+
+  // Cells interleaved: every call alternates between two cells.
+  TrialGrid interleaved;
+  for (const Protocol p : protocols) {
+    for (std::size_t t = 0; t < spec.trials; ++t) {
+      for (const std::size_t g : spec.group_sizes) {
+        interleaved[{p, g, t}] = run_trial(spec, p, g, t);
+      }
+    }
+  }
+  expect_same_trials(interleaved, misses);
+  expect_matches_run_all(run_all(spec, 1), spec, misses);
+  expect_matches_run_all(run_all(spec, 2), spec, misses);
+
+  // Same indices, symmetrized costs: each call follows the asymmetric run
+  // of the same (group size, trial), so a memo that ignored
+  // symmetric_costs would hand back the wrong cell.
+  ExperimentSpec symmetric = spec;
+  symmetric.symmetric_costs = true;
+  TrialGrid sym;
+  bool any_differs = false;
+  for (const std::size_t g : spec.group_sizes) {
+    for (std::size_t t = 0; t < spec.trials; ++t) {
+      for (const Protocol p : protocols) {
+        (void)run_trial(spec, p, g, t);
+        const TrialResult r = run_trial(symmetric, p, g, t);
+        const TrialResult& asym = misses.at({p, g, t});
+        any_differs = any_differs || r.tree_cost != asym.tree_cost ||
+                      r.mean_delay != asym.mean_delay;
+        sym[{p, g, t}] = r;
+      }
+    }
+  }
+  EXPECT_TRUE(any_differs);
+  expect_matches_run_all(run_all(symmetric, 1), symmetric, sym);
 }
 
 TEST(ExperimentTest, TableFormatContainsAllProtocolsAndSizes) {

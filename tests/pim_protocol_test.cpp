@@ -8,7 +8,9 @@
 #include "routing/unicast.hpp"
 #include "topo/builders.hpp"
 #include "topo/isp.hpp"
+#include "topo/random.hpp"
 #include "topo/scenarios.hpp"
+#include "util/rng.hpp"
 
 namespace hbh::harness {
 namespace {
@@ -187,6 +189,58 @@ TEST(ChooseRpTest, PicksCentralRouterDeterministically) {
   EXPECT_EQ(rp1, rp2);
   // On the symmetric twin tree the medoid is the fan-out router H1.
   EXPECT_EQ(rp1, fig.h1);
+}
+
+/// choose_rp_delay_aware as a definition: materialize each other->rp path
+/// and sum the opposite edges' delays from other's end.
+NodeId reference_delay_aware_rp(const routing::UnicastRouting& routes,
+                                const std::vector<NodeId>& routers,
+                                NodeId source) {
+  const auto& topo = routes.topology();
+  NodeId best = kNoNode;
+  double best_score = routing::kUnreachable;
+  for (const NodeId candidate : routers) {
+    double score = routes.path_delay(source, candidate);
+    double down = 0;
+    std::size_t n = 0;
+    for (const NodeId other : routers) {
+      if (other == candidate) continue;
+      const std::vector<NodeId> up = routes.path(other, candidate);
+      Time delay = 0;
+      for (std::size_t i = 0; i + 1 < up.size(); ++i) {
+        delay += topo.edge(*topo.find_link(up[i + 1], up[i])).attrs.delay;
+      }
+      down += delay;
+      ++n;
+    }
+    if (n != 0) score += down / static_cast<double>(n);
+    if (score < best_score) {
+      best_score = score;
+      best = candidate;
+    }
+  }
+  return best;
+}
+
+TEST(ChooseRpTest, DelayAwareMatchesPathReference) {
+  // Delays drawn apart from costs and per direction, so the reversed
+  // (data-direction) edges carry other delays than the routed ones; the
+  // walk must also add them in path order, as fractional sums differ in
+  // the last bits when reordered.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    topo::Scenario s = topo::make_random(topo::RandomTopoParams{20, 4.0}, rng);
+    for (std::uint32_t l = 0; l < s.topo.link_count(); ++l) {
+      s.topo.set_cost_delay(LinkId{l},
+                            static_cast<double>(rng.uniform_int(1, 3)),
+                            0.1 + 9.7 * rng.uniform01());
+    }
+    const routing::UnicastRouting routes{s.topo};
+    EXPECT_EQ(mcast::pim::choose_rp_delay_aware(routes, s.routers,
+                                                s.source_host),
+              reference_delay_aware_rp(routes, s.routers, s.source_host))
+        << "seed " << seed;
+  }
 }
 
 TEST(ChooseRpTest, SingleRouterDegenerate) {

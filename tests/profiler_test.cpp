@@ -3,6 +3,7 @@
 // regression checker behind tools/perf_compare.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -90,6 +91,26 @@ TEST(PhaseAggregator, MergeAddsCountsPerLabel) {
   EXPECT_TRUE(agg.snapshot("HBH").empty());
 }
 
+namespace {
+
+/// Every (protocol label, phase path) count one run_all of `spec` adds to
+/// the process-wide profile.
+std::map<std::string, std::uint64_t> run_all_phase_counts(
+    const harness::ExperimentSpec& spec, std::size_t jobs) {
+  prof::process_profile().reset();
+  (void)harness::run_all(spec, jobs);
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& [label, phases] : prof::process_profile().snapshot()) {
+    for (const auto& [path, stats] : phases) {
+      counts[label + ":" + path] = stats.count;
+    }
+  }
+  prof::process_profile().reset();
+  return counts;
+}
+
+}  // namespace
+
 // The contract the perf_profile report section depends on: phase *counts*
 // aggregated across the trial pool are identical for any worker count
 // (merge order commutes; only wall/CPU timings vary).
@@ -100,23 +121,30 @@ TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
   spec.group_sizes = {4, 8};
   spec.trials = 3;
 
-  auto counts_at = [&](std::size_t jobs) {
-    prof::process_profile().reset();
-    (void)harness::run_all(spec, jobs);
-    std::map<std::string, std::uint64_t> counts;
-    for (const auto& [label, phases] : prof::process_profile().snapshot()) {
-      for (const auto& [path, stats] : phases) {
-        counts[label + ":" + path] = stats.count;
-      }
-    }
-    return counts;
-  };
-  const auto serial = counts_at(1);
-  const auto parallel = counts_at(4);
-  prof::process_profile().reset();
+  const auto serial = run_all_phase_counts(spec, 1);
+  const auto parallel = run_all_phase_counts(spec, 4);
 
   ASSERT_FALSE(serial.empty());
-  EXPECT_GT(serial.count("HBH:trial_setup"), 0u);
+  EXPECT_GT(serial.count("HBH:warmup/soft_state_refresh/spf"), 0u);
+  EXPECT_EQ(serial, parallel);
+}
+
+// The same contract on the random-50 topology, where a cell's four
+// protocols share one SPF table: which protocol builds a tree depends only
+// on the fixed in-cell order, never on which worker ran the cell.
+TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariantOnRandom50) {
+  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
+  harness::ExperimentSpec spec;
+  spec.topology = harness::TopoKind::kRandom50;
+  spec.group_sizes = {5, 15};
+  spec.trials = 3;
+
+  const auto serial = run_all_phase_counts(spec, 1);
+  const auto parallel = run_all_phase_counts(spec, 4);
+
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial.at("HBH:trial_setup"), 6u);
+  EXPECT_EQ(serial.at("PIM-SM:trial_setup"), 6u);
   EXPECT_GT(serial.count("HBH:warmup/soft_state_refresh/spf"), 0u);
   EXPECT_EQ(serial, parallel);
 }

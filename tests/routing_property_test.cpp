@@ -158,9 +158,19 @@ TEST_P(RoutingProperties, AsymmetryVanishesWhenSymmetrized) {
   EXPECT_DOUBLE_EQ(measure_asymmetry(routes).max_cost_skew, 0.0);
 }
 
+/// The reference's tree, with the node views the link ids stand for.
+struct ReferenceSpf {
+  std::vector<double> dist;
+  std::vector<NodeId> parent;       ///< predecessor of v
+  std::vector<NodeId> first_hop;    ///< first node after the root
+  std::vector<LinkId> parent_link;  ///< edge parent(v) -> v
+  std::vector<LinkId> first_link;   ///< edge root -> first_hop(v)
+  std::vector<Time> delay;
+};
+
 /// Dijkstra on std::priority_queue, ordered by (distance, push order)
 /// compared field by field: the reference that dijkstra_into must match.
-SpfResult reference_dijkstra(const net::Topology& t, NodeId root) {
+ReferenceSpf reference_dijkstra(const net::Topology& t, NodeId root) {
   struct Item {
     double dist;
     std::uint64_t order;
@@ -173,11 +183,12 @@ SpfResult reference_dijkstra(const net::Topology& t, NodeId root) {
     }
   };
   const std::size_t n = t.node_count();
-  SpfResult out{root,
-                std::vector<double>(n, kUnreachable),
-                std::vector<NodeId>(n, kNoNode),
-                std::vector<NodeId>(n, kNoNode),
-                std::vector<Time>(n, std::numeric_limits<Time>::infinity())};
+  ReferenceSpf out{std::vector<double>(n, kUnreachable),
+                   std::vector<NodeId>(n, kNoNode),
+                   std::vector<NodeId>(n, kNoNode),
+                   std::vector<LinkId>(n, kNoLink),
+                   std::vector<LinkId>(n, kNoLink),
+                   std::vector<Time>(n, std::numeric_limits<Time>::infinity())};
   std::vector<bool> settled(n, false);
   std::priority_queue<Item, std::vector<Item>, Later> frontier;
   std::uint64_t order = 0;
@@ -198,13 +209,23 @@ SpfResult reference_dijkstra(const net::Topology& t, NodeId root) {
       if (candidate < out.dist[v]) {
         out.dist[v] = candidate;
         out.parent[v] = u;
+        out.parent_link[v] = l;
         out.delay[v] = out.delay[top.node] + e.attrs.delay;
         out.first_hop[v] = (u == root) ? e.to : out.first_hop[top.node];
+        out.first_link[v] = (u == root) ? l : out.first_link[top.node];
         frontier.push(Item{candidate, order++, static_cast<std::uint32_t>(v)});
       }
     }
   }
   return out;
+}
+
+/// The node a link id stands for (kNoNode for kNoLink).
+NodeId head(const net::Topology& t, LinkId l) {
+  return l.valid() ? t.edge(l).to : kNoNode;
+}
+NodeId tail(const net::Topology& t, LinkId l) {
+  return l.valid() ? t.edge(l).from : kNoNode;
 }
 
 TEST_P(RoutingProperties, DijkstraMatchesPriorityQueueReferenceUnderTies) {
@@ -220,16 +241,57 @@ TEST_P(RoutingProperties, DijkstraMatchesPriorityQueueReferenceUnderTies) {
                        static_cast<double>(rng.uniform_int(1, max_cost)),
                        static_cast<double>(rng.uniform_int(1, 9)));
     }
+    std::vector<double> weights;
+    link_weights(t, cost_metric(), weights);
     SpfResult got;
     DijkstraScratch scratch;  // shared across roots, as UnicastRouting does
     for (std::uint32_t r = 0; r < t.node_count(); ++r) {
       const NodeId root{r};
-      dijkstra_into(t, root, cost_metric(), got, scratch);
-      const SpfResult want = reference_dijkstra(t, root);
+      dijkstra_into(t, root, weights, got, scratch);
+      const ReferenceSpf want = reference_dijkstra(t, root);
       ASSERT_EQ(got.dist, want.dist) << "root n" << r;
-      ASSERT_EQ(got.parent, want.parent) << "root n" << r;
-      ASSERT_EQ(got.first_hop, want.first_hop) << "root n" << r;
+      ASSERT_EQ(got.parent_link, want.parent_link) << "root n" << r;
+      ASSERT_EQ(got.first_link, want.first_link) << "root n" << r;
       ASSERT_EQ(got.delay, want.delay) << "root n" << r;
+      for (std::uint32_t v = 0; v < t.node_count(); ++v) {
+        ASSERT_EQ(tail(t, got.parent_link[v]), want.parent[v]) << "n" << v;
+        ASSERT_EQ(head(t, got.first_link[v]), want.first_hop[v]) << "n" << v;
+      }
+    }
+  }
+}
+
+TEST_P(RoutingProperties, LinkViewsMatchNodeViewsWithLinksDown) {
+  // The link ids UnicastRouting forwards on must name exactly the edges
+  // its node views describe, also once failures reroute around down links.
+  net::Topology t = build();
+  Rng rng{GetParam().seed ^ 0xD0D0};
+  for (std::uint32_t l = 0; l < t.link_count(); ++l) {
+    if (rng.uniform_int(0, 9) == 0) t.set_link_up(LinkId{l}, false);
+  }
+  const UnicastRouting routes{t};
+  for (std::uint32_t r = 0; r < t.node_count(); ++r) {
+    const NodeId root{r};
+    const SpfResult& tree = routes.spf(root);
+    const ReferenceSpf want = reference_dijkstra(t, root);
+    ASSERT_EQ(tree.parent_link, want.parent_link) << "root n" << r;
+    ASSERT_EQ(tree.first_link, want.first_link) << "root n" << r;
+    for (std::uint32_t v = 0; v < t.node_count(); ++v) {
+      const NodeId to{v};
+      const LinkId first = routes.first_link(root, to);
+      if (to == root || !routes.reachable(root, to)) {
+        EXPECT_FALSE(first.valid()) << "n" << r << " -> n" << v;
+        EXPECT_EQ(routes.next_hop(root, to), kNoNode);
+        continue;
+      }
+      ASSERT_TRUE(first.valid()) << "n" << r << " -> n" << v;
+      EXPECT_TRUE(t.link_up(first));
+      EXPECT_EQ(t.edge(first).from, root);
+      EXPECT_EQ(t.edge(first).to, routes.next_hop(root, to));
+      const std::vector<NodeId> path = routes.path(root, to);
+      ASSERT_GE(path.size(), 2u);
+      EXPECT_EQ(t.find_link(path[path.size() - 2], to), tree.parent_link[v]);
+      EXPECT_EQ(t.find_link(path[0], path[1]), first);
     }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "net/topology.hpp"
 #include "routing/dijkstra.hpp"
@@ -26,22 +28,30 @@ Topology diamond() {
   return t;
 }
 
+// The link a->b of `t`, which the test expects to exist.
+LinkId link(const Topology& t, std::uint32_t a, std::uint32_t b) {
+  const auto l = t.find_link(NodeId{a}, NodeId{b});
+  EXPECT_TRUE(l.has_value());
+  return l.value_or(kNoLink);
+}
+
 TEST(DijkstraTest, PicksCheapestPath) {
   const Topology t = diamond();
   const SpfResult spf = dijkstra(t, NodeId{0});
   EXPECT_DOUBLE_EQ(spf.dist[3], 2.0);           // via node 1
-  EXPECT_EQ(spf.parent[3], NodeId{1});
-  EXPECT_EQ(spf.first_hop[3], NodeId{1});
+  EXPECT_EQ(spf.parent_link[3], link(t, 1, 3));
+  EXPECT_EQ(spf.first_link[3], link(t, 0, 1));
   EXPECT_DOUBLE_EQ(spf.dist[2], 3.0);           // 0->1->3->2 beats direct 5
-  EXPECT_EQ(spf.first_hop[2], NodeId{1});
+  EXPECT_EQ(spf.first_link[2], link(t, 0, 1));
+  EXPECT_EQ(spf.parent_link[2], link(t, 3, 2));
 }
 
 TEST(DijkstraTest, RootHasZeroDistanceAndNoParent) {
   const Topology t = diamond();
   const SpfResult spf = dijkstra(t, NodeId{0});
   EXPECT_DOUBLE_EQ(spf.dist[0], 0.0);
-  EXPECT_EQ(spf.parent[0], kNoNode);
-  EXPECT_EQ(spf.first_hop[0], kNoNode);
+  EXPECT_EQ(spf.parent_link[0], kNoLink);
+  EXPECT_EQ(spf.first_link[0], kNoLink);
 }
 
 TEST(DijkstraTest, UnreachableNodesAreInfinite) {
@@ -81,7 +91,7 @@ TEST(DijkstraTest, CustomMetricChangesRoutes) {
   t.add_link(NodeId{1}, NodeId{2}, LinkAttrs{1, 20});
   t.add_link(NodeId{0}, NodeId{2}, LinkAttrs{5, 1});
   const SpfResult by_delay = dijkstra(t, NodeId{0}, delay_metric());
-  EXPECT_EQ(by_delay.first_hop[2], NodeId{2});  // direct link wins on delay
+  EXPECT_EQ(by_delay.first_link[2], link(t, 0, 2));  // direct link wins on delay
   EXPECT_DOUBLE_EQ(by_delay.delay[2], 1.0);
 }
 
@@ -94,8 +104,8 @@ TEST(DijkstraTest, DeterministicOnEqualCostPaths) {
   t.add_duplex(NodeId{2}, NodeId{3}, LinkAttrs{1, 1});
   const SpfResult a = dijkstra(t, NodeId{0});
   const SpfResult b = dijkstra(t, NodeId{0});
-  EXPECT_EQ(a.first_hop[3], b.first_hop[3]);
-  EXPECT_EQ(a.parent[3], b.parent[3]);
+  EXPECT_EQ(a.first_link[3], b.first_link[3]);
+  EXPECT_EQ(a.parent_link[3], b.parent_link[3]);
 }
 
 TEST(UnicastRoutingTest, NextHopChainsReachDestination) {
@@ -207,6 +217,67 @@ TEST(UnicastRoutingTest, InvalidateRecomputesOnlyQueriedRoots) {
   EXPECT_DOUBLE_EQ(routes.distance(NodeId{0}, NodeId{3}), 6.0);  // via 2
   // Only root 0 was re-queried, so only root 0 recomputed: 1 (initial)
   // + 1 (post-invalidate) SPFs for root 0, none for any other root.
+  EXPECT_EQ(routes.spf_computations(), 2u);
+}
+
+TEST(UnicastRoutingTest, SharedTableBuildsEachRootOnce) {
+  // Two identical copies of a topology attached to one table: a root one
+  // instance built is a cache hit for the other.
+  const Topology t1 = diamond();
+  const Topology t2 = diamond();
+  auto table = std::make_shared<SpfTable>(t1, cost_metric());
+  const UnicastRouting a{t1, table};
+  const UnicastRouting b{t2, table};
+  EXPECT_EQ(a.next_hop(NodeId{0}, NodeId{3}), NodeId{1});
+  EXPECT_EQ(a.spf_computations(), 1u);
+  EXPECT_EQ(b.next_hop(NodeId{0}, NodeId{3}), NodeId{1});
+  EXPECT_DOUBLE_EQ(b.distance(NodeId{0}, NodeId{2}), 3.0);
+  EXPECT_EQ(b.spf_computations(), 0u);  // root 0 came from a
+  EXPECT_EQ(b.first_link(NodeId{0}, NodeId{3}),
+            t2.find_link(NodeId{0}, NodeId{1}));
+}
+
+TEST(UnicastRoutingTest, InvalidateOnSharedTableLeavesSiblingUntouched) {
+  // Copy-on-invalidate: a cost change plus invalidate() on one instance
+  // detaches it onto a private table; the sibling keeps its answers and
+  // triggers no recompute.
+  Topology t1 = diamond();
+  const Topology t2 = diamond();
+  auto table = std::make_shared<SpfTable>(t1, cost_metric());
+  UnicastRouting changed{t1, table};
+  const UnicastRouting sibling{t2, table};
+  for (std::uint32_t r = 0; r < 4; ++r) (void)sibling.spf(NodeId{r});
+  const std::uint64_t sibling_runs = sibling.spf_computations();
+  EXPECT_EQ(sibling_runs, 4u);
+
+  // Make 0->1 expensive in t1 only: 0 now reaches 3 through 2.
+  for (const auto& [a, b] : {std::pair{0u, 1u}, std::pair{1u, 0u}}) {
+    const auto l = t1.find_link(NodeId{a}, NodeId{b});
+    ASSERT_TRUE(l.has_value());
+    t1.set_cost_delay(*l, 10, 10);
+  }
+  changed.invalidate();
+  EXPECT_EQ(changed.next_hop(NodeId{0}, NodeId{3}), NodeId{2});
+  EXPECT_DOUBLE_EQ(changed.distance(NodeId{0}, NodeId{3}), 6.0);
+  EXPECT_EQ(changed.spf_computations(), 1u);
+
+  EXPECT_EQ(sibling.next_hop(NodeId{0}, NodeId{3}), NodeId{1});
+  EXPECT_DOUBLE_EQ(sibling.distance(NodeId{0}, NodeId{3}), 2.0);
+  EXPECT_DOUBLE_EQ(sibling.distance(NodeId{1}, NodeId{0}), 1.0);
+  EXPECT_EQ(sibling.spf_computations(), sibling_runs);
+  // The table left behind is still the sibling's: its trees stay cached.
+  EXPECT_EQ(table.use_count(), 2);  // `table` + sibling
+}
+
+TEST(UnicastRoutingTest, InvalidateOnPrivateTableReusesIt) {
+  Topology t = diamond();
+  UnicastRouting routes{t};
+  EXPECT_EQ(routes.next_hop(NodeId{0}, NodeId{3}), NodeId{1});
+  const auto l = t.find_link(NodeId{0}, NodeId{1});
+  ASSERT_TRUE(l.has_value());
+  t.set_cost_delay(*l, 10, 10);
+  routes.invalidate();
+  EXPECT_EQ(routes.next_hop(NodeId{0}, NodeId{3}), NodeId{2});
   EXPECT_EQ(routes.spf_computations(), 2u);
 }
 

@@ -47,6 +47,25 @@ TEST(TopologyTest, FindLinkIsDirectional) {
   EXPECT_FALSE(t.find_link(b, a).has_value());
 }
 
+TEST(TopologyTest, ReverseNamesTheOppositeDirection) {
+  Topology t;
+  const NodeId a = t.add_node();
+  const NodeId b = t.add_node();
+  const NodeId c = t.add_node();
+  t.add_duplex(a, b, LinkAttrs{1, 1});
+  const LinkId ab = *t.find_link(a, b);
+  const LinkId ba = *t.find_link(b, a);
+  EXPECT_EQ(t.reverse(ab), ba);
+  EXPECT_EQ(t.reverse(ba), ab);
+
+  // A one-way edge has no reverse until its opposite is added.
+  const LinkId bc = t.add_link(b, c, LinkAttrs{1, 1});
+  EXPECT_EQ(t.reverse(bc), kNoLink);
+  const LinkId cb = t.add_link(c, b, LinkAttrs{2, 2});
+  EXPECT_EQ(t.reverse(bc), cb);
+  EXPECT_EQ(t.reverse(cb), bc);
+}
+
 TEST(TopologyTest, OutLinksEnumeratesNeighbors) {
   const Topology t = triangle();
   EXPECT_EQ(t.out_links(NodeId{0}).size(), 2u);
