@@ -43,57 +43,50 @@ std::vector<std::size_t> random50_group_sizes() {
 
 namespace {
 
-/// Seed for a (spec, size, trial) cell — protocol-independent so every
-/// protocol sees the same costs and receiver set (paired trials).
-std::uint64_t cell_seed(const ExperimentSpec& spec, std::size_t group_size,
-                        std::size_t trial_index) {
-  std::uint64_t s = spec.base_seed;
-  s ^= 0x1000003u * (group_size + 1);
-  s ^= 0x100000001B3ull * (trial_index + 1);
+/// Everything a paired (group size, trial) cell is built from. The cell's
+/// cost-randomized scenario, its receiver sample and hence its
+/// shortest-path trees are a function of these fields alone: the builders
+/// below read the spec only through this key, so equal keys name the same
+/// cell and a new input has to be added here before a builder can read it.
+struct CellKey {
+  TopoKind topology;
+  std::uint64_t base_seed;
+  bool symmetric_costs;
+  std::size_t group_size;
+  std::size_t trial_index;
+
+  friend bool operator==(const CellKey&, const CellKey&) = default;
+};
+
+CellKey cell_key(const ExperimentSpec& spec, std::size_t group_size,
+                 std::size_t trial_index) {
+  return {spec.topology, spec.base_seed, spec.symmetric_costs, group_size,
+          trial_index};
+}
+
+/// Seed for a cell — protocol-independent so every protocol sees the same
+/// costs and receiver set (paired trials).
+std::uint64_t cell_seed(const CellKey& cell) {
+  std::uint64_t s = cell.base_seed;
+  s ^= 0x1000003u * (cell.group_size + 1);
+  s ^= 0x100000001B3ull * (cell.trial_index + 1);
   std::uint64_t mix = s;
   return splitmix64(mix);
 }
 
-topo::Scenario build_scenario(const ExperimentSpec& spec, Rng& rng) {
-  switch (spec.topology) {
+topo::Scenario build_scenario(const CellKey& cell) {
+  switch (cell.topology) {
     case TopoKind::kIsp:
       return topo::make_isp();
     case TopoKind::kRandom50: {
       // One fixed random graph per base seed (the paper evaluates a single
       // generated topology); costs are re-randomized per trial by caller.
-      Rng topo_rng{spec.base_seed};
+      Rng topo_rng{cell.base_seed};
       return topo::make_random50(topo_rng);
     }
   }
-  (void)rng;
   assert(false);
   return topo::make_isp();
-}
-
-/// What a paired (group size, trial) cell gives every protocol: the
-/// cost-randomized scenario, the receiver sample, and one SPF table the
-/// protocols' sessions share, so each shortest-path tree of the cell is
-/// built once for all four (each session still routes on its own copy of
-/// the topology and detaches from the table on its first fault).
-struct TrialCell {
-  topo::Scenario scenario;
-  std::vector<NodeId> receivers;
-  std::shared_ptr<routing::SpfTable> routes;
-};
-
-TrialCell build_cell(const ExperimentSpec& spec, std::size_t group_size,
-                     std::size_t trial_index) {
-  Rng rng{cell_seed(spec, group_size, trial_index)};
-  TrialCell cell{build_scenario(spec, rng), {}, nullptr};
-  topo::randomize_costs(cell.scenario.topo, rng);
-  if (spec.symmetric_costs) topo::symmetrize_costs(cell.scenario.topo);
-
-  auto candidates = cell.scenario.candidate_receivers();
-  assert(group_size <= candidates.size());
-  cell.receivers = rng.sample(candidates, group_size);
-  cell.routes = std::make_shared<routing::SpfTable>(cell.scenario.topo,
-                                                    routing::cost_metric());
-  return cell;
 }
 
 /// The paired-trial session for one cell, with joins scheduled but nothing
@@ -103,24 +96,42 @@ struct TrialSetup {
   Time last_join = 0;  ///< time the last join fires
 };
 
-/// Sets up `protocol`'s trial on `cell`, first building the cell for
-/// (group_size, trial_index) if `cell` is empty — inside the trial_setup
-/// phase, so the first protocol of a cell is charged for building it.
-TrialSetup prepare_trial(const ExperimentSpec& spec, Protocol protocol,
-                         std::size_t group_size, std::size_t trial_index,
-                         std::optional<TrialCell>& cell) {
+/// Sets up `protocol`'s trial on `cell`. The scenario and receivers are
+/// rebuilt from the cell's seed on every call and moved into the session.
+/// `cell_routes`, when given, is the SPF table the cell's sessions share:
+/// created here on the cell's first trial (inside the trial_setup phase, so
+/// that protocol is charged for it), attached to on the later ones. Without
+/// it the session routes on a private table.
+TrialSetup prepare_trial(
+    const ExperimentSpec& spec, Protocol protocol, const CellKey& cell,
+    std::shared_ptr<routing::SpfTable>* cell_routes = nullptr) {
   HBH_PHASE("trial_setup");
-  if (!cell) cell = build_cell(spec, group_size, trial_index);
+  Rng rng{cell_seed(cell)};
+  topo::Scenario scenario = build_scenario(cell);
+  topo::randomize_costs(scenario.topo, rng);
+  if (cell.symmetric_costs) topo::symmetrize_costs(scenario.topo);
 
+  auto candidates = scenario.candidate_receivers();
+  assert(cell.group_size <= candidates.size());
+  const std::vector<NodeId> receivers = rng.sample(candidates, cell.group_size);
+
+  std::shared_ptr<routing::SpfTable> routes;
+  if (cell_routes != nullptr) {
+    if (!*cell_routes) {
+      *cell_routes = std::make_shared<routing::SpfTable>(
+          scenario.topo, routing::cost_metric());
+    }
+    routes = *cell_routes;
+  }
   TrialSetup setup;
-  setup.session = std::make_unique<Session>(cell->scenario, protocol,
-                                            spec.session, cell->routes);
-  // Staggered joins in randomized order (the cell's sample is already
+  setup.session = std::make_unique<Session>(std::move(scenario), protocol,
+                                            spec.session, std::move(routes));
+  // Staggered joins in randomized order (the sample above is already
   // shuffled), spaced just over a tree period apart: each join meets the
   // state the previous receivers built, as in an ongoing session. The
   // warmup clock starts after the last join.
   Time delay = 0.1;
-  for (const NodeId r : cell->receivers) {
+  for (const NodeId r : receivers) {
     setup.session->subscribe(r, delay);
     delay += 1.2 * spec.session.timers.tree_period;
   }
@@ -128,11 +139,11 @@ TrialSetup prepare_trial(const ExperimentSpec& spec, Protocol protocol,
   return setup;
 }
 
-/// Runs one trial of `protocol` on `cell` (built on first use) under its
-/// own phase profiler.
-TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
-                           std::size_t group_size, std::size_t trial_index,
-                           std::optional<TrialCell>& cell) {
+/// Runs one trial of `protocol` on `cell` under its own phase profiler;
+/// `cell_routes` as for prepare_trial.
+TrialResult run_cell_trial(
+    const ExperimentSpec& spec, Protocol protocol, const CellKey& cell,
+    std::shared_ptr<routing::SpfTable>* cell_routes = nullptr) {
   // Per-trial profiler, merged into the process-wide per-protocol
   // aggregate on completion. Stats are integers summed under a mutex, so
   // the aggregated phase *counts* are identical no matter which TrialPool
@@ -142,8 +153,7 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
   TrialResult result;
   {
     const prof::ScopedProfiler install{profiler};
-    TrialSetup setup =
-        prepare_trial(spec, protocol, group_size, trial_index, cell);
+    TrialSetup setup = prepare_trial(spec, protocol, cell, cell_routes);
     Session& session = *setup.session;
     {
       HBH_PHASE("warmup");
@@ -159,37 +169,26 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
   return result;
 }
 
-/// Every ExperimentSpec input build_cell reads.
-struct CellKey {
-  TopoKind topology;
-  std::uint64_t base_seed;
-  bool symmetric_costs;
-  std::size_t group_size;
-  std::size_t trial_index;
-
-  friend bool operator==(const CellKey&, const CellKey&) = default;
-};
-
 }  // namespace
 
 TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
                       std::size_t group_size, std::size_t trial_index) {
-  // One-entry memo of the last cell this thread ran: a caller that runs a
-  // cell's protocols back to back (perfbench's interleaved sweep) builds
-  // the scenario, receivers and SPF trees once. A different key drops the
-  // old cell before the new one is built, so one cell is alive at a time.
+  // One-entry memo of the SPF table of the last cell this thread ran: a
+  // caller that runs a cell's protocols back to back (perfbench's
+  // interleaved sweep) builds each of its trees once. A different key drops
+  // the old table before the new cell is set up, so one table is alive at
+  // a time.
   struct Memo {
     std::optional<CellKey> key;
-    std::optional<TrialCell> cell;
+    std::shared_ptr<routing::SpfTable> routes;
   };
   thread_local Memo memo;
-  const CellKey key{spec.topology, spec.base_seed, spec.symmetric_costs,
-                    group_size, trial_index};
-  if (memo.key != key) {
-    memo.cell.reset();
-    memo.key = key;
+  const CellKey cell = cell_key(spec, group_size, trial_index);
+  if (memo.key != cell) {
+    memo.routes.reset();
+    memo.key = cell;
   }
-  return run_cell_trial(spec, protocol, group_size, trial_index, memo.cell);
+  return run_cell_trial(spec, protocol, cell, &memo.routes);
 }
 
 Time run_to_quiescence(Session& session, Time quiet, Time horizon) {
@@ -249,18 +248,18 @@ SweepResult run_sweep(const ExperimentSpec& spec, Protocol protocol,
   std::vector<TrialResult> grid(spec.group_sizes.size() * trials);
   TrialPool pool{jobs};
   pool.run(grid.size(), [&](std::size_t i) {
-    std::optional<TrialCell> cell;
-    grid[i] = run_cell_trial(spec, protocol, spec.group_sizes[i / trials],
-                             i % trials, cell);
+    const CellKey cell =
+        cell_key(spec, spec.group_sizes[i / trials], i % trials);
+    grid[i] = run_cell_trial(spec, protocol, cell);
   });
   return aggregate_sweep(spec, protocol, grid.data());
 }
 
 std::vector<SweepResult> run_all(const ExperimentSpec& spec,
                                  std::size_t jobs) {
-  // One pool task per paired (group size, trial) cell: the worker builds
-  // the cell once and runs the four protocols on it back to back, so their
-  // sessions share one SPF table and the phase counts charged to each
+  // One pool task per paired (group size, trial) cell: the worker runs the
+  // cell's four protocols back to back, so their sessions share one SPF
+  // table (built once per cell) and the phase counts charged to each
   // protocol do not depend on the job count. The order is all_protocols()
   // reversed: HBH, the protocol under study, runs first and computes every
   // tree it routes on, so its phase profile reads as if it ran alone; its
@@ -271,10 +270,11 @@ std::vector<SweepResult> run_all(const ExperimentSpec& spec,
   std::vector<TrialResult> grid(protocols.size() * cells);
   TrialPool pool{jobs};
   pool.run(cells, [&](std::size_t i) {
-    std::optional<TrialCell> cell;
+    const CellKey cell =
+        cell_key(spec, spec.group_sizes[i / trials], i % trials);
+    std::shared_ptr<routing::SpfTable> routes;
     for (std::size_t p = protocols.size(); p-- > 0;) {
-      grid[p * cells + i] = run_cell_trial(
-          spec, protocols[p], spec.group_sizes[i / trials], i % trials, cell);
+      grid[p * cells + i] = run_cell_trial(spec, protocols[p], cell, &routes);
     }
   });
   std::vector<SweepResult> out;
@@ -424,8 +424,8 @@ bool write_run_report(const ExperimentSpec& spec,
     prof::PhaseProfiler dive_profiler;
     std::optional<prof::ScopedProfiler> dive_install{std::in_place,
                                                     dive_profiler};
-    std::optional<TrialCell> cell;  // fresh: independent of what ran before
-    TrialSetup setup = prepare_trial(spec, sweep.protocol, size, 0, cell);
+    TrialSetup setup =
+        prepare_trial(spec, sweep.protocol, cell_key(spec, size, 0));
     Session& session = *setup.session;
     session.enable_telemetry(spec.session.timers.tree_period);
     session.enable_tracing();
@@ -565,8 +565,8 @@ bool write_trace_file(const ExperimentSpec& spec, std::string_view figure,
   // is byte-identical at any HBH_JOBS setting.
   const std::size_t size =
       spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
-  std::optional<TrialCell> cell;
-  TrialSetup setup = prepare_trial(spec, Protocol::kHbh, size, 0, cell);
+  TrialSetup setup =
+      prepare_trial(spec, Protocol::kHbh, cell_key(spec, size, 0));
   Session& session = *setup.session;
   session.enable_tracing();
   if (customize) customize(session);
@@ -601,8 +601,7 @@ bool write_audit_file(const ExperimentSpec& spec, std::string_view figure,
       spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
   std::string out;
   for (const Protocol protocol : all_protocols()) {
-    std::optional<TrialCell> cell;
-    TrialSetup setup = prepare_trial(spec, protocol, size, 0, cell);
+    TrialSetup setup = prepare_trial(spec, protocol, cell_key(spec, size, 0));
     Session& session = *setup.session;
     metrics::Auditor& auditor = session.enable_audit();
     if (customize) customize(session);

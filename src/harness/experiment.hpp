@@ -53,9 +53,9 @@ struct TrialResult {
 };
 
 /// Runs a single (topology variant, protocol, group size, trial) cell.
-/// The calling thread remembers the last paired cell it built (scenario,
-/// receivers, SPF table), so running a cell's protocols back to back
-/// builds them once; the result never depends on whether it was reused.
+/// The calling thread keeps the SPF table of the last paired cell it ran,
+/// so running a cell's protocols back to back builds each shortest-path
+/// tree once; the result never depends on whether the table was reused.
 [[nodiscard]] TrialResult run_trial(const ExperimentSpec& spec,
                                     Protocol protocol, std::size_t group_size,
                                     std::size_t trial_index);

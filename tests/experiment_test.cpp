@@ -142,9 +142,9 @@ void expect_matches_run_all(const std::vector<SweepResult>& sweeps,
 }
 
 TEST(ExperimentTest, RunTrialCellReuseNeverChangesResults) {
-  // run_trial reuses the last paired cell it built on this thread (its
-  // scenario, receivers and SPF table). Whether a call hits or misses that
-  // memo must not show in any result, and all of them must equal run_all.
+  // run_trial reuses the SPF table of the last paired cell it ran on this
+  // thread. Whether a call hits or misses that memo must not show in any
+  // result, and all of them must equal run_all.
   ExperimentSpec spec;
   spec.topology = TopoKind::kRandom50;
   spec.group_sizes = {5, 10};

@@ -125,6 +125,7 @@ TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
   const auto parallel = run_all_phase_counts(spec, 4);
 
   ASSERT_FALSE(serial.empty());
+  EXPECT_GT(serial.count("HBH:trial_setup"), 0u);
   EXPECT_GT(serial.count("HBH:warmup/soft_state_refresh/spf"), 0u);
   EXPECT_EQ(serial, parallel);
 }
