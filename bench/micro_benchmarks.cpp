@@ -1,12 +1,14 @@
 // Microbenchmarks of the simulation substrate (google-benchmark).
 //
 // These are M1–M4 in DESIGN.md: event-queue throughput, Dijkstra SPF,
-// protocol convergence, and a full measured trial. They characterize the
+// protocol convergence, and a full measured trial, plus the HBH
+// forwarding table's per-packet operations. They characterize the
 // simulator itself, not the paper's results.
 #include <benchmark/benchmark.h>
 
 #include "harness/experiment.hpp"
 #include "harness/session.hpp"
+#include "mcast/hbh/tables.hpp"
 #include "metrics/registry.hpp"
 #include "routing/unicast.hpp"
 #include "sim/simulator.hpp"
@@ -115,6 +117,34 @@ void BM_SimulatorTimerWheel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorTimerWheel);
+
+// One HBH router's per-packet table work on an MFT of range(0) entries:
+// find, purge and an in-place data-target walk. With range(1) == 0 no
+// entry has expired and purge returns at its expiry gate; with 1 each
+// iteration plants a dead entry, so every purge walks the table and
+// evicts it.
+void BM_HbhMft(benchmark::State& state) {
+  const auto entries = static_cast<std::uint32_t>(state.range(0));
+  const bool expired = state.range(1) != 0;
+  const mcast::McastConfig cfg;
+  const Time now = 1000;
+  mcast::hbh::Mft mft;
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    mft.upsert(Ipv4Addr{(10u << 24) | (2 * i + 2)}, cfg, now);
+  }
+  const Ipv4Addr probe{(10u << 24) | entries};
+  const Ipv4Addr victim{(10u << 24) | 1u};
+  for (auto _ : state) {
+    if (expired) mft.upsert(victim, cfg, now - cfg.t2);
+    benchmark::DoNotOptimize(mft.find(probe));
+    benchmark::DoNotOptimize(mft.purge(now));
+    std::size_t copies = 0;
+    mft.for_each_data_target(now, [&](Ipv4Addr) { ++copies; });
+    benchmark::DoNotOptimize(copies);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HbhMft)->ArgsProduct({{4, 16, 45}, {0, 1}});
 
 void BM_DijkstraIsp(benchmark::State& state) {
   auto scenario = topo::make_isp();

@@ -544,7 +544,7 @@ void Session::audit_sweep() {
                                .state(ch.channel);
           if (st == nullptr) break;
           const bool live_mct = st->mct && !st->mct->state.dead(now);
-          const bool live_mft = st->mft && !st->mft->live_targets(now).empty();
+          const bool live_mft = st->mft && st->mft->live_count(now) > 0;
           auditor_->sweep_tables(router, ch.channel, live_mct, live_mft);
           if (st->mct) {
             auditor_->sweep_entry(router, ch.channel, "mct",
@@ -686,8 +686,9 @@ void Session::crash_router(NodeId router) {
   if (protocol_ == Protocol::kHbh) {
     const auto& hbh = static_cast<const mcast::hbh::HbhRouter&>(agent);
     retired_structural_changes_ += hbh.structural_changes();
-    for (const auto& [ch, n] : hbh.structural_by_channel()) {
-      retired_structural_by_channel_[ch] += n;
+    for (const ChannelState& ch : channels_) {
+      retired_structural_by_channel_[ch.channel] +=
+          hbh.structural_changes(ch.channel);
     }
     retired_joins_intercepted_ += hbh.joins_intercepted();
   } else if (protocol_ == Protocol::kReunite) {
@@ -834,7 +835,7 @@ std::pair<std::size_t, std::size_t> Session::router_channel_state(
           static_cast<const mcast::hbh::HbhRouter&>(agent).state(channel);
       if (st != nullptr) {
         if (st->mct && !st->mct->state.dead(now)) control = 1;
-        if (st->mft) forwarding = st->mft->live_targets(now).size();
+        if (st->mft) forwarding = st->mft->live_count(now);
       }
       break;
     }

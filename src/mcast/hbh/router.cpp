@@ -33,7 +33,9 @@ void apply_fusion(Mft& mft, const net::FusionPayload& fusion,
 
 const ChannelState* HbhRouter::state(const net::Channel& ch) const {
   const auto it = channels_.find(ch);
-  return it == channels_.end() ? nullptr : &it->second;
+  if (it == channels_.end()) return nullptr;
+  const ChannelState& st = it->second.tables;
+  return st.mct || st.mft ? &st : nullptr;
 }
 
 void HbhRouter::handle(Packet&& packet, NodeId from) {
@@ -59,28 +61,26 @@ void HbhRouter::handle(Packet&& packet, NodeId from) {
   }
 }
 
-void HbhRouter::purge(const net::Channel& ch, const net::TraceContext& ctx) {
-  const auto it = channels_.find(ch);
-  if (it == channels_.end()) return;
-  ChannelState& st = it->second;
+void HbhRouter::purge(const net::Channel& ch, ChannelRecord& rec,
+                      const net::TraceContext& ctx) {
+  ChannelState& st = rec.tables;
   const bool tracing = ctx.active() && net().trace_hook() != nullptr;
   if (st.mct && st.mct->state.dead(now())) {
     if (tracing) trace_instant(ctx, "evict", ch, st.mct->target);
     st.mct.reset();
-    note_structural(ch, 1);
+    note_structural(rec, 1);
   }
   if (st.mft) {
     std::vector<Ipv4Addr> evicted;
-    note_structural(ch, st.mft->purge(now(), tracing ? &evicted : nullptr));
+    note_structural(rec, st.mft->purge(now(), tracing ? &evicted : nullptr));
     for (const Ipv4Addr target : evicted) {
       trace_instant(ctx, "evict", ch, target);
     }
     if (st.mft->empty()) {
       st.mft.reset();
-      note_structural(ch, 1);
+      note_structural(rec, 1);
     }
   }
-  if (!st.mct && !st.mft) channels_.erase(it);
 }
 
 void HbhRouter::send_self_join(const net::Channel& ch,
@@ -114,25 +114,23 @@ void HbhRouter::on_join(Packet&& packet) {
   const net::Channel ch = packet.channel;
   const net::JoinPayload join = packet.join();
   if (packet.dst == self_addr()) return;  // joins are addressed to sources
-  purge(ch, packet.trace);
+  ChannelRecord* rec = find_record(ch);
+  if (rec != nullptr) purge(ch, *rec, packet.trace);
 
   // §3.1: the first join must reach the source so it can start emitting
   // tree(S, R) messages along the shortest path S -> R.
-  if (!join.first) {
-    const auto it = channels_.find(ch);
-    if (it != channels_.end() && it->second.mft) {
-      Mft& mft = *it->second.mft;
-      if (SoftEntry* entry = mft.find(join.receiver); entry != nullptr) {
-        // J3: intercept. Full refresh (marked entries stay marked: the
-        // refresh keeps t1/t2 alive so tree messages keep flowing to R).
-        entry->refresh(config_, now());
-        ++joins_intercepted_;
-        trace_instant(packet.trace, "join-intercept", ch, join.receiver);
-        HBH_LOG(LogLevel::kTrace, to_string(self()), " intercepts join(",
-            join.receiver.to_string(), ")");
-        send_self_join(ch, packet.trace);
-        return;
-      }
+  if (!join.first && rec != nullptr && rec->tables.mft) {
+    Mft& mft = *rec->tables.mft;
+    if (SoftEntry* entry = mft.find(join.receiver); entry != nullptr) {
+      // J3: intercept. Full refresh (marked entries stay marked: the
+      // refresh keeps t1/t2 alive so tree messages keep flowing to R).
+      entry->refresh(config_, now());
+      ++joins_intercepted_;
+      trace_instant(packet.trace, "join-intercept", ch, join.receiver);
+      HBH_LOG(LogLevel::kTrace, to_string(self()), " intercepts join(",
+          join.receiver.to_string(), ")");
+      send_self_join(ch, packet.trace);
+      return;
     }
   }
   // J1/J2: forward unchanged toward the source.
@@ -142,7 +140,8 @@ void HbhRouter::on_join(Packet&& packet) {
 void HbhRouter::on_tree(Packet&& packet) {
   const net::Channel ch = packet.channel;
   const net::TreePayload tree = packet.tree();
-  purge(ch, packet.trace);
+  ChannelRecord& rec = channels_[ch];
+  purge(ch, rec, packet.trace);
 
   // Stale-straggler rejection: a reordered tree from an earlier refresh
   // wave must not refresh, install, or re-anchor state that a newer wave
@@ -150,35 +149,29 @@ void HbhRouter::on_tree(Packet&& packet) {
   // that already left). Stragglers still travel — dropping them would
   // starve downstream routers of an in-transit refresh they may not have
   // seen — but they are inert here.
-  auto [seen_it, first_seen] = seen_wave_.try_emplace(ch, tree.wave);
-  if (!first_seen) {
-    if (tree.wave < seen_it->second) {
-      if (packet.dst != self_addr()) forward(std::move(packet));
-      return;
-    }
-    seen_it->second = tree.wave;
+  if (rec.seen_wave && tree.wave < *rec.seen_wave) {
+    if (packet.dst != self_addr()) forward(std::move(packet));
+    return;
   }
-
-  auto it = channels_.find(ch);
+  rec.seen_wave = tree.wave;
+  ChannelState& st = rec.tables;
 
   // T1: a tree message addressed to this branching node is consumed and
   // re-expanded: one tree(S, Ri) per non-stale MFT entry, with ourselves
   // recorded as the last branching node.
   if (packet.dst == self_addr()) {
-    if (it != channels_.end() && it->second.mft) {
+    if (st.mft) {
       // Re-emit at most once per source refresh wave: replicas inherit the
       // wave id, so a token circling back through a transient MFT cycle
       // cannot re-trigger emission — every refresh chain stays rooted at
       // the source.
-      auto [wave_it, first] = last_wave_.try_emplace(ch, tree.wave);
-      if (!first) {
-        if (tree.wave <= wave_it->second) return;
-        wave_it->second = tree.wave;
-      }
-      TreePacer& pacer = pacers_[ch];
-      pacer.expire(now(), 10 * config_.tree_period);
-      for (const Ipv4Addr target : it->second.mft->tree_targets(now())) {
-        if (!pacer.allow(target, now(), 0.5 * config_.tree_period)) continue;
+      if (rec.last_wave && tree.wave <= *rec.last_wave) return;
+      rec.last_wave = tree.wave;
+      rec.pacer.expire(now(), 10 * config_.tree_period);
+      st.mft->for_each_tree_target(now(), [&](Ipv4Addr target) {
+        if (!rec.pacer.allow(target, now(), 0.5 * config_.tree_period)) {
+          return;
+        }
         Packet out;
         out.src = ch.source;
         out.dst = target;
@@ -187,14 +180,14 @@ void HbhRouter::on_tree(Packet&& packet) {
         out.trace = packet.trace;  // re-emissions fan out of the same chain
         out.payload = net::TreePayload{target, false, self_addr(), tree.wave};
         forward(std::move(out));
-      }
+      });
     }
     return;  // discard the original (rule T1), or drop if MFT vanished
   }
 
   const Ipv4Addr r = tree.target;
-  if (it != channels_.end() && it->second.mft) {
-    Mft& mft = *it->second.mft;
+  if (st.mft) {
+    Mft& mft = *st.mft;
     if (SoftEntry* entry = mft.find(r); entry != nullptr) {
       // T3: B no longer gets join(S,R) directly — keep the entry alive via
       // the passing tree message and remind upstream we duplicate for R.
@@ -203,7 +196,7 @@ void HbhRouter::on_tree(Packet&& packet) {
     } else {
       // T2: a new receiver whose path crosses this branching node.
       mft.upsert(r, config_, now());
-      note_structural(ch, 1);
+      note_structural(rec, 1);
       trace_instant(packet.trace, "mft-insert", ch, r);
       send_fusion(ch, mft, tree.last_branch, packet.trace);
     }
@@ -213,17 +206,16 @@ void HbhRouter::on_tree(Packet&& packet) {
   }
 
   // Non-branching cases.
-  if (it == channels_.end() || !it->second.mct) {
+  if (!st.mct) {
     // T4: joining the distribution tree as a transit router.
-    ChannelState& st = channels_[ch];
     st.mct = Mct{r, SoftEntry{config_, now()}};
-    note_structural(ch, 1);
+    note_structural(rec, 1);
     trace_instant(packet.trace, "mct-install", ch, r);
     forward(std::move(packet));
     return;
   }
 
-  Mct& mct = *it->second.mct;
+  Mct& mct = *st.mct;
   if (mct.target == r) {
     // T6: steady state refresh.
     mct.state.refresh(config_, now());
@@ -234,7 +226,7 @@ void HbhRouter::on_tree(Packet&& packet) {
     // T7: the previous branch through here expired; adopt the new one.
     mct.target = r;
     mct.state.refresh(config_, now());
-    note_structural(ch, 1);
+    note_structural(rec, 1);
     trace_instant(packet.trace, "mct-adopt", ch, r);
     forward(std::move(packet));
     return;
@@ -242,12 +234,11 @@ void HbhRouter::on_tree(Packet&& packet) {
 
   // T8: two live receivers downstream -> become a branching node.
   const Ipv4Addr previous = mct.target;
-  ChannelState& st = it->second;
   st.mct.reset();
   st.mft.emplace();
   st.mft->upsert(previous, config_, now());
   st.mft->upsert(r, config_, now());
-  note_structural(ch, 2);
+  note_structural(rec, 2);
   trace_instant(packet.trace, "branching", ch, r);
   HBH_LOG(LogLevel::kDebug, to_string(self()), " becomes branching for ",
       ch.to_string(), " ", st.mft->to_string(now()));
@@ -263,14 +254,14 @@ void HbhRouter::on_fusion(Packet&& packet) {
     forward(std::move(packet));
     return;
   }
-  purge(ch, packet.trace);
-  const auto it = channels_.find(ch);
-  if (it == channels_.end() || !it->second.mft) {
+  ChannelRecord* rec = find_record(ch);
+  if (rec != nullptr) purge(ch, *rec, packet.trace);
+  if (rec == nullptr || !rec->tables.mft) {
     // Fusion addressed to a node that lost its MFT (raced with expiry);
     // nothing to mark — drop. The emitter will retry on the next tree.
     return;
   }
-  apply_fusion(*it->second.mft, packet.fusion(), config_, now());
+  apply_fusion(*rec->tables.mft, packet.fusion(), config_, now());
 }
 
 void HbhRouter::on_data(Packet&& packet) {
@@ -279,14 +270,15 @@ void HbhRouter::on_data(Packet&& packet) {
     forward(std::move(packet));  // transit data: plain unicast
     return;
   }
-  purge(ch, packet.trace);
-  const auto it = channels_.find(ch);
-  if (it == channels_.end() || !it->second.mft) {
+  ChannelRecord* rec = find_record(ch);
+  if (rec != nullptr) purge(ch, *rec, packet.trace);
+  if (rec == nullptr || !rec->tables.mft) {
     HBH_LOG(LogLevel::kDebug, to_string(self()),
         " data addressed to non-branching node, dropped");
     return;
   }
-  if (!guards_[ch].first_time(packet.data().probe, packet.data().seq)) {
+  if (!rec->guard) rec->guard = std::make_unique<ReplicationGuard>();
+  if (!rec->guard->first_time(packet.data().probe, packet.data().seq)) {
     // A copy of this packet already passed through (transient routing
     // cycle); replicating again would amplify it.
     return;
@@ -294,11 +286,11 @@ void HbhRouter::on_data(Packet&& packet) {
   // Recursive unicast: consume the incoming packet and emit one modified
   // copy per data-eligible entry (marked entries excluded — their data
   // flows through the downstream branching node that fused them).
-  for (const Ipv4Addr target : it->second.mft->data_targets(now())) {
+  rec->tables.mft->for_each_data_target(now(), [&](Ipv4Addr target) {
     Packet copy = packet;
     copy.dst = target;
     forward(std::move(copy));
-  }
+  });
 }
 
 }  // namespace hbh::mcast::hbh

@@ -28,6 +28,8 @@
 // modified copy is sent to every non-marked live MFT entry.
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "mcast/common/pacing.hpp"
@@ -48,7 +50,8 @@ class HbhRouter : public net::ProtocolAgent {
   void handle(net::Packet&& packet, NodeId from) override;
 
   /// Introspection for tests and the tree-dump tooling. Null if this
-  /// router has no state for the channel.
+  /// router has no table for the channel (none installed yet, or both
+  /// expired).
   [[nodiscard]] const ChannelState* state(const net::Channel& ch) const;
 
   /// Mutable state exposition for the invariant auditor's fault-seeding
@@ -66,16 +69,12 @@ class HbhRouter : public net::ProtocolAgent {
   }
 
   /// The same counter restricted to one channel (multi-channel sessions
-  /// report per-handle stability; the totals above stay the cross-channel
+  /// report per-handle stability; the total above stays the cross-channel
   /// sum).
   [[nodiscard]] std::uint64_t structural_changes(
       const net::Channel& ch) const {
-    const auto it = structural_by_channel_.find(ch);
-    return it == structural_by_channel_.end() ? 0 : it->second;
-  }
-  [[nodiscard]] const std::unordered_map<net::Channel, std::uint64_t>&
-  structural_by_channel() const noexcept {
-    return structural_by_channel_;
+    const auto it = channels_.find(ch);
+    return it == channels_.end() ? 0 : it->second.structural;
   }
 
   /// Joins intercepted under rule J3 (HBH's signature mechanism: refresh
@@ -85,6 +84,23 @@ class HbhRouter : public net::ProtocolAgent {
   }
 
  private:
+  /// Everything kept for one channel, found with one lookup. The tables
+  /// come and go with soft state; the rest outlives them.
+  struct ChannelRecord {
+    ChannelState tables;
+    TreePacer pacer;
+    /// Made by the first data packet replicated here: most records are
+    /// transit routers', which never need the 0.5 KB ring.
+    std::unique_ptr<ReplicationGuard> guard;
+    /// Highest wave whose T1 token was re-expanded here.
+    std::optional<std::uint32_t> last_wave;
+    /// Highest refresh wave observed; trees from older waves are forwarded
+    /// but never mutate state (stale-straggler rejection under reordering
+    /// — see docs/RESILIENCE.md).
+    std::optional<std::uint32_t> seen_wave;
+    std::uint64_t structural = 0;
+  };
+
   void on_join(net::Packet&& packet);
   void on_tree(net::Packet&& packet);
   void on_fusion(net::Packet&& packet);
@@ -100,31 +116,29 @@ class HbhRouter : public net::ProtocolAgent {
   void send_fusion(const net::Channel& ch, Mft& mft, Ipv4Addr upstream,
                    const net::TraceContext& ctx);
 
-  /// Lazily purges dead state for the channel; drops empty tables. Evicted
+  /// The channel's record, or null if this router never saw the channel.
+  [[nodiscard]] ChannelRecord* find_record(const net::Channel& ch) {
+    const auto it = channels_.find(ch);
+    return it == channels_.end() ? nullptr : &it->second;
+  }
+
+  /// Lazily purges the record's dead state; drops empty tables. Evicted
   /// targets are traced as "evict" instants under `ctx` (the span of the
   /// packet whose arrival triggered the purge).
-  void purge(const net::Channel& ch, const net::TraceContext& ctx = {});
+  void purge(const net::Channel& ch, ChannelRecord& rec,
+             const net::TraceContext& ctx);
 
-  /// Records `n` structural changes against `ch` (and the global total).
-  void note_structural(const net::Channel& ch, std::uint64_t n) {
-    if (n == 0) return;
+  /// Records `n` structural changes against the record (and the total).
+  void note_structural(ChannelRecord& rec, std::uint64_t n) {
     structural_changes_ += n;
-    structural_by_channel_[ch] += n;
+    rec.structural += n;
   }
 
   [[nodiscard]] Time now() const { return simulator().now(); }
 
   McastConfig config_;
-  std::unordered_map<net::Channel, ChannelState> channels_;
-  std::unordered_map<net::Channel, TreePacer> pacers_;
-  std::unordered_map<net::Channel, ReplicationGuard> guards_;
-  std::unordered_map<net::Channel, std::uint32_t> last_wave_;
-  /// Highest refresh wave observed per channel; trees from older waves are
-  /// forwarded but never mutate state (stale-straggler rejection under
-  /// reordering — see docs/RESILIENCE.md).
-  std::unordered_map<net::Channel, std::uint32_t> seen_wave_;
+  std::unordered_map<net::Channel, ChannelRecord> channels_;
   std::uint64_t structural_changes_ = 0;
-  std::unordered_map<net::Channel, std::uint64_t> structural_by_channel_;
   std::uint64_t joins_intercepted_ = 0;
 };
 

@@ -30,7 +30,7 @@ void HbhSource::emit_tree_round() {
     trace_instant(ctx, "evict", channel_, target);
   }
   ++wave_;
-  for (const Ipv4Addr target : mft_.tree_targets(now)) {
+  mft_.for_each_tree_target(now, [&](Ipv4Addr target) {
     Packet tree;
     tree.src = self_addr();
     tree.dst = target;
@@ -39,7 +39,7 @@ void HbhSource::emit_tree_round() {
     tree.trace = ctx;
     tree.payload = net::TreePayload{target, false, self_addr(), wave_};
     forward(std::move(tree));
-  }
+  });
 }
 
 void HbhSource::handle(Packet&& packet, NodeId from) {
@@ -94,8 +94,8 @@ std::size_t HbhSource::send_data(std::uint64_t probe, std::uint32_t seq,
   for (const Ipv4Addr target : evicted) {
     trace_instant(ctx, "evict", channel_, target);
   }
-  const auto targets = mft_.data_targets(now);
-  for (const Ipv4Addr target : targets) {
+  std::size_t copies = 0;
+  mft_.for_each_data_target(now, [&](Ipv4Addr target) {
     Packet data;
     data.src = self_addr();
     data.dst = target;
@@ -104,8 +104,9 @@ std::size_t HbhSource::send_data(std::uint64_t probe, std::uint32_t seq,
     data.trace = ctx;
     data.payload = net::DataPayload{probe, seq, now, false, pad};
     forward(std::move(data));
-  }
-  return targets.size();
+    ++copies;
+  });
+  return copies;
 }
 
 }  // namespace hbh::mcast::hbh

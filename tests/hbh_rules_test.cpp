@@ -280,6 +280,32 @@ TEST_F(HbhRules, T1_StaleEntryGetsNoTree) {
   EXPECT_EQ(tap.sent.back().packet.tree().target, r2_addr);
 }
 
+TEST_F(HbhRules, WaveMemorySurvivesTableExpiry) {
+  make_branching();
+  deliver_to_b(tree(b_addr, 7));  // wave 7 re-expanded under T1
+  sim.run_for(2 * cfg.t2);
+  deliver_to_b(join(r_addr));  // a passing join purges the dead MFT
+  ASSERT_EQ(b->state(ch), nullptr);
+
+  // A reordered tree from an older wave still travels but stays inert:
+  // no MCT is installed for it.
+  tap.clear();
+  deliver_to_b(tree(r_addr, 5));
+  EXPECT_EQ(tap.count_from(NodeId{1}, net::PacketType::kTree), 1u);
+  EXPECT_EQ(b->state(ch), nullptr);
+
+  // Rebuilt on wave 7, B still remembers having re-expanded wave 7's token.
+  deliver_to_b(tree(r_addr, 7));
+  deliver_to_b(tree(r2_addr, 7));
+  ASSERT_NE(b->state(ch), nullptr);
+  ASSERT_TRUE(b->state(ch)->branching());
+  tap.clear();
+  deliver_to_b(tree(b_addr, 7));
+  EXPECT_EQ(tap.count_from(NodeId{1}, net::PacketType::kTree), 0u);
+  deliver_to_b(tree(b_addr, 8));
+  EXPECT_EQ(tap.count_from(NodeId{1}, net::PacketType::kTree), 2u);
+}
+
 TEST_F(HbhRules, F1_FusionNotAddressedToBForwards) {
   make_branching();
   deliver_to_b(fusion({r_addr}, r2_addr, s_addr));

@@ -2,6 +2,11 @@
 // on it (HBH's MCT/MFT, REUNITE's dst-bearing MFT).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "mcast/common/soft_state.hpp"
 #include "mcast/hbh/tables.hpp"
 #include "mcast/reunite/tables.hpp"
@@ -113,6 +118,118 @@ TEST(HbhMftTest, DeterministicIterationOrder) {
   ASSERT_EQ(targets.size(), 3u);
   EXPECT_LT(targets[0], targets[1]);
   EXPECT_LT(targets[1], targets[2]);
+}
+
+/// The flat MFT's reference model: an ordered map whose purge walks every
+/// entry on every call (no expiry gate).
+struct MapMft {
+  std::map<Ipv4Addr, SoftEntry> entries;
+
+  std::size_t purge(Time now, std::vector<Ipv4Addr>& evicted) {
+    std::size_t removed = 0;
+    for (auto it = entries.begin(); it != entries.end();) {
+      if (it->second.dead(now)) {
+        evicted.push_back(it->first);
+        it = entries.erase(it);
+        ++removed;
+      } else {
+        ++it;
+      }
+    }
+    return removed;
+  }
+
+  template <typename Pred>
+  [[nodiscard]] std::vector<Ipv4Addr> select(Pred keep) const {
+    std::vector<Ipv4Addr> out;
+    for (const auto& [target, entry] : entries) {
+      if (keep(entry)) out.push_back(target);
+    }
+    return out;
+  }
+};
+
+TEST(HbhMftTest, MatchesMapReferenceUnderRandomOps) {
+  // Random upsert / find / mark / keepalive / expire_t1 / erase / purge on
+  // a dozen targets, the clock advancing by integer and quarter-unit
+  // steps so that purges often land exactly on an entry's t2 expiry.
+  std::vector<Ipv4Addr> pool;
+  for (std::uint8_t i = 1; i <= 12; ++i) pool.push_back(Ipv4Addr{10, 0, i, 1});
+  // The default timers, and short fractional ones under which entries
+  // die within a few steps.
+  const McastConfig short_cfg{10.0, 10.0, 3.5, 7.25};
+  for (const std::uint32_t seed : {1u, 2u, 3u, 7u, 11u, 42u}) {
+    const McastConfig& cfg = seed % 2 == 0 ? kCfg : short_cfg;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng{seed};
+    const auto pick = [&](std::uint32_t n) { return rng() % n; };
+    hbh::Mft flat;
+    MapMft ref;
+    Time now = 0;
+    for (int step = 0; step < 4000; ++step) {
+      if (pick(3) == 0) {
+        now += pick(4) == 0 ? static_cast<Time>(1 + pick(20))
+                            : 0.25 * static_cast<Time>(pick(8));
+      }
+      const Ipv4Addr target = pool[pick(static_cast<std::uint32_t>(pool.size()))];
+      SoftEntry* got = flat.find(target);
+      const auto want = ref.entries.find(target);
+      ASSERT_EQ(got != nullptr, want != ref.entries.end()) << "step " << step;
+      switch (pick(7)) {
+        case 0:
+        case 1:
+          flat.upsert(target, cfg, now);
+          if (!ref.entries.try_emplace(target, cfg, now).second) {
+            want->second.refresh(cfg, now);
+          }
+          break;
+        case 2:
+          if (got != nullptr) {
+            got->mark(cfg, now);
+            want->second.mark(cfg, now);
+          }
+          break;
+        case 3:
+          if (got != nullptr) {
+            got->refresh_keepalive(cfg, now);
+            want->second.refresh_keepalive(cfg, now);
+          }
+          break;
+        case 4:
+          if (got != nullptr) {
+            got->expire_t1(now);
+            want->second.expire_t1(now);
+          }
+          break;
+        case 5:
+          if (pick(4) == 0) {
+            flat.erase(target);
+            ref.entries.erase(target);
+          }
+          break;
+        default: {
+          std::vector<Ipv4Addr> flat_evicted;
+          std::vector<Ipv4Addr> ref_evicted;
+          ASSERT_EQ(flat.purge(now, &flat_evicted),
+                    ref.purge(now, ref_evicted))
+              << "step " << step << " t=" << now;
+          ASSERT_EQ(flat_evicted, ref_evicted) << "step " << step;
+          break;
+        }
+      }
+      ASSERT_EQ(flat.size(), ref.entries.size()) << "step " << step;
+      ASSERT_EQ(flat.data_targets(now), ref.select([&](const SoftEntry& e) {
+        return !e.dead(now) && !e.marked(now);
+      })) << "step " << step;
+      ASSERT_EQ(flat.tree_targets(now), ref.select([&](const SoftEntry& e) {
+        return !e.dead(now) && !e.stale(now);
+      })) << "step " << step;
+      const auto live =
+          ref.select([&](const SoftEntry& e) { return !e.dead(now); });
+      ASSERT_EQ(flat.live_targets(now), live) << "step " << step;
+      ASSERT_EQ(flat.live_count(now), live.size()) << "step " << step;
+    }
+  }
 }
 
 TEST(ReuniteMftTest, PurgePromotesFirstLiveEntryToDst) {
