@@ -31,14 +31,21 @@ foreach(needle
     "\"state.forwarding_entries\"" "\"messages\"" "\"messages_dropped\""
     "\"p50\"" "\"p95\"" "\"p99\"" "\"trace\"" "hbh.trace/v1"
     "\"convergence\"" "\"grafts\"" "\"mean_join_to_first_delivery\""
-    "\"perf_profile\"" "hbh.perf_profile/v2" "\"phases\"" "\"trial_setup\""
-    "\"wall_ns\"" "\"cpu_ns\"" "\"peak_rss_bytes\""
+    "\"perf_profile\"" "hbh.perf_profile/v3" "\"phases\"" "\"trial_setup\""
+    "\"wall_ns\"" "\"peak_rss_bytes\""
     "\"wall_seconds\"")
   string(FIND "${doc}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "report ${OUT} is missing ${needle}")
   endif()
 endforeach()
+
+# hbh.perf_profile/v3 dropped per-phase thread-CPU time; no writer may
+# emit it again.
+string(FIND "${doc}" "\"cpu_ns\"" pos)
+if(NOT pos EQUAL -1)
+  message(FATAL_ERROR "report ${OUT} still carries \"cpu_ns\"")
+endif()
 
 # Reports produced by harness::write_run_report always carry the
 # forwarding-plane auditor's verdict — zeros included, so "no anomalies"

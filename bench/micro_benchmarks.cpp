@@ -6,6 +6,8 @@
 // simulator itself, not the paper's results.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "harness/experiment.hpp"
 #include "harness/session.hpp"
 #include "mcast/hbh/tables.hpp"
@@ -14,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "topo/isp.hpp"
 #include "topo/random.hpp"
+#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -258,6 +261,25 @@ void BM_RegistryHistogramObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RegistryHistogramObserve)->Arg(0)->Arg(1);
+
+// One phase scope enter/exit pair, as each soft-state refresh opens inside
+// a trial's warmup: with a PhaseProfiler installed (Arg(1)) it reads the
+// steady clock twice and updates one phase; with none (Arg(0)) it is one
+// thread-local load and branch.
+void BM_PhaseScope(benchmark::State& state) {
+  prof::PhaseProfiler profiler;
+  std::optional<prof::ScopedProfiler> install;
+  if (state.range(0) != 0) install.emplace(profiler);
+  {
+    const prof::PhaseScope outer{"warmup"};
+    for (auto _ : state) {
+      const prof::PhaseScope scope{"soft_state_refresh"};
+    }
+  }
+  benchmark::DoNotOptimize(profiler.phases().size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PhaseScope)->Arg(0)->Arg(1);
 
 // Same workload as BM_HbhConvergenceIsp but with the full telemetry stack
 // on (taps, gauges, sampler); the delta over the plain run is the

@@ -163,7 +163,7 @@ bool maybe_write_audit_from_env(const ExperimentSpec& spec,
 
 /// Writes the process-wide phase profile accumulated so far (every trial
 /// run_trial executed, the report deep-dives, report rendering) as a
-/// standalone hbh.perf_profile/v2 document keyed by protocol label.
+/// standalone hbh.perf_profile/v3 document keyed by protocol label.
 /// Timings vary run to run; phase counts are deterministic at any
 /// HBH_JOBS. Returns false if the file could not be created.
 bool write_profile_file(std::string_view figure, const std::string& path);

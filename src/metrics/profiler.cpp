@@ -11,7 +11,6 @@ void write_phase_map(JsonWriter& w, const PhaseMap& phases) {
     w.begin_object();
     w.member("count", s.count);
     w.member("wall_ns", s.wall_ns);
-    w.member("cpu_ns", s.cpu_ns);
     w.member("allocs", s.allocs);
     w.member("alloc_bytes", s.alloc_bytes);
     w.end_object();

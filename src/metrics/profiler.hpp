@@ -1,4 +1,4 @@
-// Serialization of phase profiles (schema "hbh.perf_profile/v2").
+// Serialization of phase profiles (schema "hbh.perf_profile/v3").
 //
 // The profiler core lives in src/util/profiler.hpp so the instrumented
 // layers (routing, sim, mcast) can open HBH_PHASE scopes without a
@@ -7,9 +7,9 @@
 // run report and the standalone profile document written for
 // HBH_PROF_OUT (see docs/OBSERVABILITY.md "Phase profiling").
 //
-// Timings (wall_ns, cpu_ns) vary run to run and are excluded from the
-// repo's byte-identity checks; phase *counts* are deterministic and must
-// be byte-identical at any HBH_JOBS.
+// Timings (wall_ns) vary run to run and are excluded from the repo's
+// byte-identity checks; phase *counts* are deterministic and must be
+// byte-identical at any HBH_JOBS.
 #pragma once
 
 #include <map>
@@ -28,10 +28,10 @@ using prof::PhaseScope;
 using prof::PhaseStats;
 using prof::ScopedProfiler;
 
-inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v2";
+inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v3";
 
-/// Writes a "phases" object value: {"<path>": {count, wall_ns, cpu_ns,
-/// allocs, alloc_bytes}, ...}. Expects the writer positioned for a value.
+/// Writes a "phases" object value: {"<path>": {count, wall_ns, allocs,
+/// alloc_bytes}, ...}. Expects the writer positioned for a value.
 void write_phase_map(JsonWriter& w, const PhaseMap& phases);
 
 /// Writes a full perf_profile section value: {"schema", "phases",

@@ -35,7 +35,7 @@ struct RunReport {
   const MessageTrace* trace = nullptr;
   const Tracer* tracer = nullptr;                 ///< causal span summary
   const ConvergenceSummary* convergence = nullptr;
-  /// Aggregated phase profile (schema hbh.perf_profile/v2); omitted when
+  /// Aggregated phase profile (schema hbh.perf_profile/v3); omitted when
   /// null or empty. Phase counts are deterministic at any HBH_JOBS;
   /// timings are excluded from byte-identity checks.
   const PhaseMap* profile = nullptr;

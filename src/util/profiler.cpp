@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <ctime>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -25,17 +24,6 @@ std::uint64_t wall_now_ns() noexcept {
           .count());
 }
 
-std::uint64_t cpu_now_ns() noexcept {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
-  return 0;
-#endif
-}
-
 }  // namespace
 
 void PhaseProfiler::enter(std::string_view name) {
@@ -43,12 +31,12 @@ void PhaseProfiler::enter(std::string_view name) {
   f.parent_path_len = path_.size();
   if (!path_.empty()) path_.push_back('/');
   path_.append(name);
-  // Clocks are read last on enter and first on exit so the profiler's own
+  // The clock is read last on enter and first on exit so the profiler's own
   // bookkeeping (path append, map insert) stays outside the measured span.
+  // On Linux steady_clock is a vDSO read, so a scope makes no syscall.
   const AllocCounters a = thread_alloc_counters();
   f.allocs0 = a.allocs;
   f.alloc_bytes0 = a.bytes;
-  f.cpu0 = cpu_now_ns();
   f.wall0 = wall_now_ns();
   stack_.push_back(f);
 }
@@ -56,14 +44,12 @@ void PhaseProfiler::enter(std::string_view name) {
 void PhaseProfiler::exit() {
   assert(!stack_.empty() && "PhaseProfiler::exit without matching enter");
   const std::uint64_t wall1 = wall_now_ns();
-  const std::uint64_t cpu1 = cpu_now_ns();
   const AllocCounters a = thread_alloc_counters();
   const Frame f = stack_.back();
   stack_.pop_back();
   PhaseStats& s = phases_[path_];
   s.count += 1;
   s.wall_ns += wall1 - f.wall0;
-  s.cpu_ns += cpu1 >= f.cpu0 ? cpu1 - f.cpu0 : 0;
   s.allocs += a.allocs - f.allocs0;
   s.alloc_bytes += a.bytes - f.alloc_bytes0;
   path_.resize(f.parent_path_len);

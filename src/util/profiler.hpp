@@ -1,5 +1,5 @@
-// Phase profiler: RAII nested scopes attributing wall + thread-CPU time
-// (and, opt-in, heap allocations) to named phases of a run.
+// Phase profiler: RAII nested scopes attributing wall-clock time (and,
+// opt-in, heap allocations) to named phases of a run.
 //
 // The profiler lives in util so every layer — routing (SPF), sim, mcast
 // (tree rounds, refresh, data fan-out), harness — can drop an HBH_PHASE
@@ -60,14 +60,12 @@ inline constexpr bool kAllocCountingCompiled = false;
 struct PhaseStats {
   std::uint64_t count = 0;        ///< scope enters
   std::uint64_t wall_ns = 0;      ///< wall-clock time inside the scope
-  std::uint64_t cpu_ns = 0;       ///< thread CPU time inside the scope
   std::uint64_t allocs = 0;       ///< heap allocations (HBH_PROF_ALLOC only)
   std::uint64_t alloc_bytes = 0;  ///< bytes requested (HBH_PROF_ALLOC only)
 
   void merge(const PhaseStats& o) noexcept {
     count += o.count;
     wall_ns += o.wall_ns;
-    cpu_ns += o.cpu_ns;
     allocs += o.allocs;
     alloc_bytes += o.alloc_bytes;
   }
@@ -99,7 +97,6 @@ class PhaseProfiler {
   struct Frame {
     std::size_t parent_path_len;  ///< path_ length before this frame
     std::uint64_t wall0;
-    std::uint64_t cpu0;
     std::uint64_t allocs0;
     std::uint64_t alloc_bytes0;
   };

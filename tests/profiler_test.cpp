@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "metrics/baseline.hpp"
@@ -36,8 +38,8 @@ TEST(PhaseProfiler, NestedScopesRecordSlashJoinedPaths) {
   const prof::PhaseStats& inner = profiler.phases().at("outer/inner");
   EXPECT_EQ(outer.count, 1u);
   EXPECT_EQ(inner.count, 2u);
-  // Steady/CPU clocks are monotonic, and the outer span contains both
-  // inner spans.
+  // steady_clock is monotonic, and the outer span contains both inner
+  // spans.
   EXPECT_GE(outer.wall_ns, inner.wall_ns);
 }
 
@@ -152,22 +154,34 @@ TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariantOnRandom50) {
 
 TEST(PerfProfileJson, WritesSchemaAndPhases) {
   prof::PhaseMap phases;
-  phases["warmup"] = prof::PhaseStats{.count = 3, .wall_ns = 500, .cpu_ns = 400,
-                                      .allocs = 0, .alloc_bytes = 0};
+  phases["warmup"] = prof::PhaseStats{.count = 3, .wall_ns = 500,
+                                      .allocs = 7, .alloc_bytes = 96};
   std::ostringstream out;
   metrics::JsonWriter w{out};
   metrics::write_perf_profile(w, phases);
   const std::string doc = out.str();
-  EXPECT_NE(doc.find("hbh.perf_profile/v2"), std::string::npos);
   EXPECT_NE(doc.find("\"warmup\""), std::string::npos);
   EXPECT_NE(doc.find("\"peak_rss_bytes\""), std::string::npos);
   // The artifact must itself be valid JSON.
   metrics::JsonValue parsed;
   std::string error;
   ASSERT_TRUE(metrics::parse_json(doc, parsed, &error)) << error;
-  const metrics::JsonValue* count = parsed.find("phases", "warmup", "count");
-  ASSERT_NE(count, nullptr);
-  EXPECT_EQ(count->number, 3.0);
+  const metrics::JsonValue* schema = parsed.find("schema");
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->string, "hbh.perf_profile/v3");
+  // v3 layout: a phase object carries exactly these members, in this order.
+  const metrics::JsonValue* warmup = parsed.find("phases", "warmup");
+  ASSERT_NE(warmup, nullptr);
+  ASSERT_TRUE(warmup->is_object());
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"count", 3.0}, {"wall_ns", 500.0}, {"allocs", 7.0},
+      {"alloc_bytes", 96.0}};
+  std::vector<std::pair<std::string, double>> members;
+  for (const auto& [key, value] : warmup->object) {
+    ASSERT_TRUE(value.is_number()) << key;
+    members.emplace_back(key, value.number);
+  }
+  EXPECT_EQ(members, expected);
 }
 
 TEST(JsonParse, ParsesNestedDocumentsAndEscapes) {

@@ -3,7 +3,7 @@
 // settings) can be compared byte-for-byte.
 //
 // Dropped members, at any nesting depth:
-//   * wall-clock and host-load fields: wall_seconds, wall_ns, cpu_ns,
+//   * wall-clock and host-load fields: wall_seconds, wall_ns,
 //     packets_per_second, events_per_second, peak_rss_bytes,
 //     audit_wall_seconds
 //   * allocator counters (allocs, alloc_bytes): they depend on the build
@@ -28,9 +28,10 @@ using hbh::metrics::JsonWriter;
 
 bool scrubbed_key(std::string_view key) {
   static constexpr std::string_view kDropped[] = {
-      "wall_seconds",       "wall_ns",          "cpu_ns",
-      "allocs",             "alloc_bytes",      "packets_per_second",
-      "events_per_second",  "peak_rss_bytes",   "audit_wall_seconds",
+      "wall_seconds",      "wall_ns",
+      "allocs",            "alloc_bytes",
+      "packets_per_second", "events_per_second",
+      "peak_rss_bytes",    "audit_wall_seconds",
   };
   for (const std::string_view k : kDropped) {
     if (key == k) return true;
