@@ -327,9 +327,9 @@ int main() {
       "goodput of the four at every offered rate.\n");
 
   // The machine-readable cells ride in the run report as a top-level
-  // "congestion" section (schema hbh.run_report/v2 passes extra sections
+  // "congestion" section (schema hbh.run_report/v3 passes extra sections
   // through unchanged — bench/check_report.cmake pins the needles).
-  bench::maybe_write_bench_report(
+  bench::write_bench_artifacts(
       "ablation_congestion", harness::TopoKind::kIsp, {},
       [&](metrics::JsonWriter& w) {
         w.key("congestion");

@@ -52,7 +52,7 @@ int main() {
       "\nReading: convergence is measured from t=0 (first join) to the\n"
       "last router-state change; soft-state churn (entry expiry at t2=70)\n"
       "dominates HBH/REUNITE, while PIM settles as fast as joins travel.\n");
-  bench::maybe_write_bench_report("ablation_convergence",
-                                  harness::TopoKind::kIsp);
+  bench::write_bench_artifacts("ablation_convergence",
+                               harness::TopoKind::kIsp);
   return 0;
 }

@@ -74,7 +74,7 @@ int main() {
       "(~one path RTT); HBH/REUNITE newcomers wait for the next source\n"
       "tree round to install forwarding state, i.e. up to one tree period\n"
       "plus propagation.\n");
-  bench::maybe_write_bench_report("ablation_join_latency",
-                                  harness::TopoKind::kIsp);
+  bench::write_bench_artifacts("ablation_join_latency",
+                               harness::TopoKind::kIsp);
   return 0;
 }

@@ -133,10 +133,10 @@ int main() {
       "another chance to lose the unicast copy) and reconvergence is paced\n"
       "by the soft-state timers: a lost refresh costs one period, a decayed\n"
       "entry costs up to t2 before the next join rebuilds it.\n");
-  // The instrumented report run re-applies the acceptance impairment
-  // (5% loss + reordering on every backbone link), so the JSON carries
-  // the fault counters too (net.drops.loss — docs/RESILIENCE.md).
-  bench::maybe_write_bench_report(
+  // The observed cell re-applies the acceptance impairment (5% loss +
+  // reordering on every backbone link), so the report carries the fault
+  // counters too (net.drops.loss — docs/RESILIENCE.md).
+  bench::write_bench_artifacts(
       "ablation_resilience", harness::TopoKind::kIsp, [&](Session& session) {
         session.seed_impairments(base_seed);
         const net::Impairment imp{0.05, 0.0, 0.25, 2.0, {}};

@@ -65,7 +65,7 @@ int main() {
       "routers and keep single-entry MCTs elsewhere; PIM needs oif state at\n"
       "every on-tree router. Control rate counts every join/tree/fusion\n"
       "link transmission per refresh period.\n");
-  bench::maybe_write_bench_report("ablation_state_overhead",
-                                  harness::TopoKind::kIsp);
+  bench::write_bench_artifacts("ablation_state_overhead",
+                               harness::TopoKind::kIsp);
   return 0;
 }

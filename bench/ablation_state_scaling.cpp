@@ -227,9 +227,9 @@ void write_report(const std::string& path,
   jw.end_array();
 
   // One instrumented deep-dive per protocol: the largest swept channel
-  // count, trial 0, telemetry on — registry counters (net.tx.*), the
-  // per-class state gauges, the sampled time series, and the message
-  // summary all ride along.
+  // count, trial 0, telemetry on — registry counters (net.tx.* and
+  // net.tx_bytes.*), the per-class state gauges and the sampled time
+  // series all ride along.
   jw.key("runs");
   jw.begin_object();
   for (const Protocol proto : protocols) {
@@ -256,7 +256,6 @@ void write_report(const std::string& path,
     report.profile = &profile;
     report.registry = session->registry();
     report.sampler = session->sampler();
-    report.trace = session->trace();
     report.tracer = session->tracer();
     report.convergence = &convergence;
     report.info["protocol"] = std::string(to_string(proto));
@@ -355,8 +354,9 @@ int main() {
   if (!report.empty()) {
     write_report(report, channel_counts, trials, w, sweep);
   }
-  if (harness::maybe_write_profile_from_env("ablation_state_scaling")) {
-    std::printf("profile: %s\n", env_prof_out().c_str());
-  }
+  harness::ArtifactPaths profile_only;
+  profile_only.profile = env_prof_out();
+  (void)harness::write_artifacts(profile_only, {}, {}, "ablation_state_scaling",
+                                 {});
   return control_only_holds ? 0 : 1;
 }

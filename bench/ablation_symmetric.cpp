@@ -18,7 +18,10 @@ int main() {
   std::printf("=== Ablation: symmetric link costs, ISP topology ===\n");
   std::printf("trials=%zu — asymmetry-driven gaps should collapse\n\n",
               spec.trials);
-  const auto results = harness::run_all(spec);
+  const harness::ArtifactPaths artifacts = harness::ArtifactPaths::from_env();
+  harness::ObservedCell observed;
+  const auto results =
+      harness::run_all(spec, 0, artifacts.need_cell() ? &observed : nullptr);
   std::printf("TREE COST\n%s\n",
               harness::format_table(results, "cost").c_str());
   std::printf("DELAY\n%s\n", harness::format_table(results, "delay").c_str());
@@ -39,9 +42,8 @@ int main() {
   std::printf("max |HBH - PIM-SS| relative tree-cost gap: %.2f%% "
               "(identical trees up to equal-cost tie-breaks)\n",
               100.0 * max_gap);
-  if (harness::maybe_write_report_from_env(spec, results,
-                                           "ablation_symmetric")) {
-    std::printf("report: %s\n", env_report_path().c_str());
-  }
-  return 0;
+  return harness::write_artifacts(artifacts, spec, results,
+                                 "ablation_symmetric", observed)
+             ? 0
+             : 1;
 }

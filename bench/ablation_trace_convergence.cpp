@@ -86,7 +86,7 @@ int main() {
       "transmissions causally descended from each subscribe; leave->gone is\n"
       "explicit-prune latency for PIM and soft-state eviction (t2) for\n"
       "HBH/REUNITE.\n");
-  bench::maybe_write_bench_report("ablation_trace_convergence",
-                                  harness::TopoKind::kIsp);
+  bench::write_bench_artifacts("ablation_trace_convergence",
+                               harness::TopoKind::kIsp);
   return 0;
 }

@@ -26,9 +26,9 @@ endif()
 file(READ "${OUT}" doc)
 
 foreach(needle
-    "\"schema\"" "hbh.run_report/v2" "\"sweep\"" "\"runs\"" "\"HBH\""
-    "\"counters\"" "\"net.tx.tree\"" "\"gauges\"" "\"series\""
-    "\"state.forwarding_entries\"" "\"messages\"" "\"messages_dropped\""
+    "\"schema\"" "hbh.run_report/v3" "\"sweep\"" "\"runs\"" "\"HBH\""
+    "\"counters\"" "\"net.tx.tree\"" "\"net.tx_bytes.tree\"" "\"gauges\""
+    "\"series\"" "\"state.forwarding_entries\""
     "\"p50\"" "\"p95\"" "\"p99\"" "\"trace\"" "hbh.trace/v1"
     "\"convergence\"" "\"grafts\"" "\"mean_join_to_first_delivery\""
     "\"perf_profile\"" "hbh.perf_profile/v3" "\"phases\"" "\"trial_setup\""
@@ -40,14 +40,18 @@ foreach(needle
   endif()
 endforeach()
 
-# hbh.perf_profile/v3 dropped per-phase thread-CPU time; no writer may
-# emit it again.
-string(FIND "${doc}" "\"cpu_ns\"" pos)
-if(NOT pos EQUAL -1)
-  message(FATAL_ERROR "report ${OUT} still carries \"cpu_ns\"")
-endif()
+# hbh.perf_profile/v3 dropped per-phase thread-CPU time, and
+# hbh.run_report/v3 dropped the message summary (the per-type counts are
+# the registry's net.tx.* / net.tx_bytes.* counters); no writer may emit
+# either again.
+foreach(gone "\"cpu_ns\"" "\"messages_dropped\"")
+  string(FIND "${doc}" "${gone}" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "report ${OUT} still carries ${gone}")
+  endif()
+endforeach()
 
-# Reports produced by harness::write_run_report always carry the
+# Reports produced by harness::write_artifacts always carry the
 # forwarding-plane auditor's verdict — zeros included, so "no anomalies"
 # is an assertion, not an absence. -DNO_ANOMALIES=1 opts out for benches
 # with a bespoke report writer (the state-scaling ablation).

@@ -41,7 +41,10 @@ inline int run_figure(const char* figure, const char* paper_caption,
   std::printf("topology=%s trials=%zu seed=%llu (paper: 500 trials)\n\n",
               std::string(to_string(topology)).c_str(), spec.trials,
               static_cast<unsigned long long>(spec.base_seed));
-  const auto results = harness::run_all(spec);
+  const harness::ArtifactPaths artifacts = harness::ArtifactPaths::from_env();
+  harness::ObservedCell observed;
+  const auto results =
+      harness::run_all(spec, 0, artifacts.need_cell() ? &observed : nullptr);
   std::printf("%s\n", harness::format_table(results, metric).c_str());
 
   std::size_t failures = 0;
@@ -56,82 +59,31 @@ inline int run_figure(const char* figure, const char* paper_caption,
   if (env_csv()) {
     std::printf("\n%s", harness::format_csv(results).c_str());
   }
-  const std::string report = env_report_path();
-  if (!report.empty()) {
-    if (harness::write_run_report(spec, results, figure, report)) {
-      std::printf("report: %s\n", report.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write HBH_REPORT=%s\n",
-                   report.c_str());
-      return 1;
-    }
-  }
-  const std::string trace_out = env_trace_out();
-  if (!trace_out.empty()) {
-    if (harness::write_trace_file(spec, figure, trace_out)) {
-      std::printf("trace: %s\n", trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write HBH_TRACE_OUT=%s\n",
-                   trace_out.c_str());
-      return 1;
-    }
-  }
-  const std::string audit_out = env_audit_out();
-  if (!audit_out.empty()) {
-    if (harness::write_audit_file(spec, figure, audit_out)) {
-      std::printf("audit: %s\n", audit_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write HBH_AUDIT_OUT=%s\n",
-                   audit_out.c_str());
-      return 1;
-    }
-  }
-  const std::string prof_out = env_prof_out();
-  if (!prof_out.empty()) {
-    if (harness::write_profile_file(figure, prof_out)) {
-      std::printf("profile: %s\n", prof_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write HBH_PROF_OUT=%s\n",
-                   prof_out.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return harness::write_artifacts(artifacts, spec, results, figure, observed)
+             ? 0
+             : 1;
 }
 
-/// HBH_REPORT support for benches that don't run a figure sweep: writes a
-/// report whose "runs" section still carries one instrumented trial per
-/// protocol (registry metrics, state time series, message counts).
-/// `extra` appends bench-specific top-level report sections
-/// (harness::ReportSectionHook semantics).
-inline void maybe_write_bench_report(
+/// Artifact support for benches that run no figure sweep: the observed
+/// cell (the largest group size of `topology`'s sweep, trial 0) runs once
+/// per protocol with `customize` applied, and every artifact the HBH_*
+/// variables request is written from it. `extra` appends bench-specific top-level report
+/// sections (harness::ReportSectionHook semantics).
+inline void write_bench_artifacts(
     const char* name, harness::TopoKind topology,
     const harness::SessionHook& customize = {},
     const harness::ReportSectionHook& extra = {}) {
   const harness::ExperimentSpec spec = spec_from_env(topology);
-  const std::string path = env_report_path();
-  if (!path.empty()) {
-    std::vector<harness::SweepResult> results;
-    for (const harness::Protocol p : harness::all_protocols()) {
-      results.push_back(harness::SweepResult{p, {}});
-    }
-    if (harness::write_run_report(spec, results, name, path, customize,
-                                  extra)) {
-      std::printf("report: %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write HBH_REPORT=%s\n",
-                   path.c_str());
-    }
+  const harness::ArtifactPaths artifacts = harness::ArtifactPaths::from_env();
+  harness::ObservedCell observed;
+  if (artifacts.need_cell()) observed = harness::observe_cell(spec, customize);
+  // No sweep: the report's "sweep" section lists each protocol, empty.
+  std::vector<harness::SweepResult> results;
+  for (const harness::Protocol p : harness::all_protocols()) {
+    results.push_back(harness::SweepResult{p, {}});
   }
-  if (harness::maybe_write_trace_from_env(spec, name, customize)) {
-    std::printf("trace: %s\n", env_trace_out().c_str());
-  }
-  if (harness::maybe_write_audit_from_env(spec, name, customize)) {
-    std::printf("audit: %s\n", env_audit_out().c_str());
-  }
-  if (harness::maybe_write_profile_from_env(name)) {
-    std::printf("profile: %s\n", env_prof_out().c_str());
-  }
+  (void)harness::write_artifacts(artifacts, spec, results, name, observed,
+                                 extra);
 }
 
 }  // namespace hbh::bench

@@ -270,8 +270,8 @@ int main() {
     std::printf("\nwrote %s\n", out_path.c_str());
   }
 
-  if (harness::maybe_write_profile_from_env("perf_dataplane")) {
-    std::printf("profile: %s\n", env_prof_out().c_str());
-  }
+  harness::ArtifactPaths profile_only;
+  profile_only.profile = env_prof_out();
+  (void)harness::write_artifacts(profile_only, {}, {}, "perf_dataplane", {});
   return 0;
 }

@@ -1,8 +1,8 @@
 #include "harness/experiment.hpp"
 
-#include <array>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iomanip>
@@ -89,61 +89,25 @@ topo::Scenario build_scenario(const CellKey& cell) {
   return topo::make_isp();
 }
 
-/// The paired-trial session for one cell, with joins scheduled but nothing
-/// run yet — shared by run_trial and the instrumented report runs.
-struct TrialSetup {
-  std::unique_ptr<Session> session;
-  Time last_join = 0;  ///< time the last join fires
-};
-
-/// Sets up `protocol`'s trial on `cell`. The scenario and receivers are
-/// rebuilt from the cell's seed on every call and moved into the session.
-/// `cell_routes`, when given, is the SPF table the cell's sessions share:
-/// created here on the cell's first trial (inside the trial_setup phase, so
-/// that protocol is charged for it), attached to on the later ones. Without
-/// it the session routes on a private table.
-TrialSetup prepare_trial(
-    const ExperimentSpec& spec, Protocol protocol, const CellKey& cell,
-    std::shared_ptr<routing::SpfTable>* cell_routes = nullptr) {
-  HBH_PHASE("trial_setup");
-  Rng rng{cell_seed(cell)};
-  topo::Scenario scenario = build_scenario(cell);
-  topo::randomize_costs(scenario.topo, rng);
-  if (cell.symmetric_costs) topo::symmetrize_costs(scenario.topo);
-
-  auto candidates = scenario.candidate_receivers();
-  assert(cell.group_size <= candidates.size());
-  const std::vector<NodeId> receivers = rng.sample(candidates, cell.group_size);
-
-  std::shared_ptr<routing::SpfTable> routes;
-  if (cell_routes != nullptr) {
-    if (!*cell_routes) {
-      *cell_routes = std::make_shared<routing::SpfTable>(
-          scenario.topo, routing::cost_metric());
-    }
-    routes = *cell_routes;
-  }
-  TrialSetup setup;
-  setup.session = std::make_unique<Session>(std::move(scenario), protocol,
-                                            spec.session, std::move(routes));
-  // Staggered joins in randomized order (the sample above is already
-  // shuffled), spaced just over a tree period apart: each join meets the
-  // state the previous receivers built, as in an ongoing session. The
-  // warmup clock starts after the last join.
-  Time delay = 0.1;
-  for (const NodeId r : receivers) {
-    setup.session->subscribe(r, delay);
-    delay += 1.2 * spec.session.timers.tree_period;
-  }
-  setup.last_join = delay;
-  return setup;
+/// The observed cell of a sweep: the largest swept group size, trial 0.
+CellKey observed_cell_key(const ExperimentSpec& spec) {
+  return cell_key(spec, spec.group_sizes.empty() ? 2 : spec.group_sizes.back(),
+                  0);
 }
 
-/// Runs one trial of `protocol` on `cell` under its own phase profiler;
-/// `cell_routes` as for prepare_trial.
-TrialResult run_cell_trial(
-    const ExperimentSpec& spec, Protocol protocol, const CellKey& cell,
-    std::shared_ptr<routing::SpfTable>* cell_routes = nullptr) {
+/// Runs one trial of `protocol` on `cell` under its own phase profiler.
+/// The scenario and receivers are rebuilt from the cell's seed and moved
+/// into the session. `cell_routes` is the SPF table the cell's sessions
+/// share: created here on the cell's first trial (inside the trial_setup
+/// phase, so that protocol is charged for it), attached to on the later
+/// ones. `observed`, when given, makes this an observed run: telemetry,
+/// tracing and audit go on, `customize` is applied, a strict-audit abort
+/// is caught instead of thrown, and the session is kept in `*observed`.
+TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
+                           const CellKey& cell,
+                           std::shared_ptr<routing::SpfTable>& cell_routes,
+                           ObservedRun* observed = nullptr,
+                           const SessionHook& customize = {}) {
   // Per-trial profiler, merged into the process-wide per-protocol
   // aggregate on completion. Stats are integers summed under a mutex, so
   // the aggregated phase *counts* are identical no matter which TrialPool
@@ -153,20 +117,104 @@ TrialResult run_cell_trial(
   TrialResult result;
   {
     const prof::ScopedProfiler install{profiler};
-    TrialSetup setup = prepare_trial(spec, protocol, cell, cell_routes);
-    Session& session = *setup.session;
+    std::unique_ptr<Session> session;
+    Time last_join = 0;  // time the last join fires
     {
-      HBH_PHASE("warmup");
-      session.run_for(setup.last_join + spec.warmup);
+      HBH_PHASE("trial_setup");
+      Rng rng{cell_seed(cell)};
+      topo::Scenario scenario = build_scenario(cell);
+      topo::randomize_costs(scenario.topo, rng);
+      if (cell.symmetric_costs) topo::symmetrize_costs(scenario.topo);
+
+      auto candidates = scenario.candidate_receivers();
+      assert(cell.group_size <= candidates.size());
+      const std::vector<NodeId> receivers =
+          rng.sample(candidates, cell.group_size);
+
+      if (!cell_routes) {
+        cell_routes = std::make_shared<routing::SpfTable>(
+            scenario.topo, routing::cost_metric());
+      }
+      session = std::make_unique<Session>(std::move(scenario), protocol,
+                                          spec.session, cell_routes);
+      // Staggered joins in randomized order (the sample above is already
+      // shuffled), spaced just over a tree period apart: each join meets
+      // the state the previous receivers built, as in an ongoing session.
+      // The warmup clock starts after the last join.
+      Time delay = 0.1;
+      for (const NodeId r : receivers) {
+        session->subscribe(r, delay);
+        delay += 1.2 * spec.session.timers.tree_period;
+      }
+      last_join = delay;
     }
-    HBH_PHASE("measure");
-    const Measurement m = session.measure(spec.drain);
+    if (observed != nullptr) {
+      session->enable_telemetry(spec.session.timers.tree_period);
+      session->enable_tracing();
+      // Record mode unless the session picked up HBH_AUDIT=strict, so the
+      // report's "anomalies" section is present — with zeros — on every
+      // clean run.
+      session->enable_audit();
+      if (customize) customize(*session);
+    }
+    Measurement m;
+    try {
+      {
+        HBH_PHASE("warmup");
+        session->run_for(last_join + spec.warmup);
+      }
+      {
+        HBH_PHASE("measure");
+        m = session->measure(spec.drain);
+      }
+      if (observed != nullptr) {
+        const auto audit_start = std::chrono::steady_clock::now();
+        session->audit_sweep();
+        const std::chrono::duration<double> audit_wall =
+            std::chrono::steady_clock::now() - audit_start;
+        observed->audit_seconds = audit_wall.count();
+      }
+    } catch (const std::exception&) {
+      // HBH_AUDIT=strict aborts a run on its first anomaly, recorded
+      // before the throw: an observed run keeps the abort for
+      // write_artifacts, so the artifacts still carry the event.
+      if (observed == nullptr) throw;
+      observed->abort = std::current_exception();
+    }
     result.tree_cost = static_cast<double>(m.tree_cost);
     result.mean_delay = m.mean_delay;
     result.delivered = m.delivered_exactly_once();
+    if (observed != nullptr) {
+      observed->protocol = protocol;
+      observed->session = std::move(session);
+      observed->measurement = std::move(m);
+    }
   }
   prof::process_profile().merge(to_string(protocol), profiler);
   return result;
+}
+
+/// Runs one paired cell on the calling thread: its protocols back to back,
+/// sharing one SPF table, in all_protocols() reversed — HBH, the protocol
+/// under study, runs first and computes every tree it routes on, so its
+/// phase profile reads as if it ran alone; its siblings reuse those trees.
+/// Protocol p's result lands in results[p * stride]. `observed`, when
+/// given, receives every protocol's observed run (see run_cell_trial).
+void run_paired_cell(const ExperimentSpec& spec, const CellKey& cell,
+                     TrialResult* results, std::size_t stride,
+                     ObservedCell* observed,
+                     const SessionHook& customize = {}) {
+  const auto& protocols = all_protocols();
+  if (observed != nullptr) {
+    observed->group_size = cell.group_size;
+    observed->runs.resize(protocols.size());
+  }
+  std::shared_ptr<routing::SpfTable> routes;
+  for (std::size_t p = protocols.size(); p-- > 0;) {
+    results[p * stride] = run_cell_trial(
+        spec, protocols[p], cell, routes,
+        observed != nullptr ? &observed->runs[p] : nullptr, customize);
+  }
 }
 
 }  // namespace
@@ -188,7 +236,7 @@ TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
     memo.routes.reset();
     memo.key = cell;
   }
-  return run_cell_trial(spec, protocol, cell, &memo.routes);
+  return run_cell_trial(spec, protocol, cell, memo.routes);
 }
 
 Time run_to_quiescence(Session& session, Time quiet, Time horizon) {
@@ -242,40 +290,22 @@ SweepResult aggregate_sweep(const ExperimentSpec& spec, Protocol protocol,
 
 }  // namespace
 
-SweepResult run_sweep(const ExperimentSpec& spec, Protocol protocol,
-                      std::size_t jobs) {
-  const std::size_t trials = spec.trials;
-  std::vector<TrialResult> grid(spec.group_sizes.size() * trials);
-  TrialPool pool{jobs};
-  pool.run(grid.size(), [&](std::size_t i) {
-    const CellKey cell =
-        cell_key(spec, spec.group_sizes[i / trials], i % trials);
-    grid[i] = run_cell_trial(spec, protocol, cell);
-  });
-  return aggregate_sweep(spec, protocol, grid.data());
-}
-
-std::vector<SweepResult> run_all(const ExperimentSpec& spec,
-                                 std::size_t jobs) {
-  // One pool task per paired (group size, trial) cell: the worker runs the
-  // cell's four protocols back to back, so their sessions share one SPF
-  // table (built once per cell) and the phase counts charged to each
-  // protocol do not depend on the job count. The order is all_protocols()
-  // reversed: HBH, the protocol under study, runs first and computes every
-  // tree it routes on, so its phase profile reads as if it ran alone; its
-  // siblings reuse those trees.
+std::vector<SweepResult> run_all(const ExperimentSpec& spec, std::size_t jobs,
+                                 ObservedCell* observed) {
+  // One pool task per paired (group size, trial) cell, so the phase counts
+  // charged to each protocol do not depend on the job count.
   const auto& protocols = all_protocols();
   const std::size_t trials = spec.trials;
   const std::size_t cells = spec.group_sizes.size() * trials;
+  // The observed cell (observed_cell_key): the last size's trial 0.
+  const std::size_t observed_slot = cells - trials;
   std::vector<TrialResult> grid(protocols.size() * cells);
   TrialPool pool{jobs};
   pool.run(cells, [&](std::size_t i) {
     const CellKey cell =
         cell_key(spec, spec.group_sizes[i / trials], i % trials);
-    std::shared_ptr<routing::SpfTable> routes;
-    for (std::size_t p = protocols.size(); p-- > 0;) {
-      grid[p * cells + i] = run_cell_trial(spec, protocols[p], cell, &routes);
-    }
+    run_paired_cell(spec, cell, grid.data() + i, cells,
+                    i == observed_slot ? observed : nullptr);
   });
   std::vector<SweepResult> out;
   out.reserve(protocols.size());
@@ -283,6 +313,15 @@ std::vector<SweepResult> run_all(const ExperimentSpec& spec,
     out.push_back(aggregate_sweep(spec, protocols[p], grid.data() + p * cells));
   }
   return out;
+}
+
+ObservedCell observe_cell(const ExperimentSpec& spec,
+                          const SessionHook& customize) {
+  ObservedCell observed;
+  std::vector<TrialResult> results(all_protocols().size());
+  run_paired_cell(spec, observed_cell_key(spec), results.data(), 1, &observed,
+                  customize);
+  return observed;
 }
 
 std::string format_table(const std::vector<SweepResult>& results,
@@ -333,19 +372,21 @@ std::string format_csv(const std::vector<SweepResult>& results) {
   return out.str();
 }
 
+namespace {
+
+/// The run report: spec, sweep summary, one "runs" entry per observed
+/// protocol, the "anomalies" section, then `extra`'s sections.
 bool write_run_report(const ExperimentSpec& spec,
                       const std::vector<SweepResult>& results,
-                      std::string_view figure, const std::string& path,
-                      const SessionHook& customize,
-                      const ReportSectionHook& extra) {
+                      std::string_view figure, const ObservedCell& observed,
+                      const ReportSectionHook& extra,
+                      const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Rendering is itself a profiled phase (aggregated under the "report"
-  // label, visible in the HBH_PROF_OUT artifact). The per-protocol
-  // deep-dives below install their own profilers, so their phases land
-  // under the protocol labels, not here.
+  // label, visible in the HBH_PROF_OUT artifact).
   prof::PhaseProfiler render_profiler;
   const prof::ScopedProfiler render_install{render_profiler};
   std::optional<prof::PhaseScope> render_scope{std::in_place,
@@ -397,72 +438,15 @@ bool write_run_report(const ExperimentSpec& spec,
   }
   w.end_array();
 
-  // One instrumented deep-dive per protocol: the largest swept group size,
-  // trial 0 — a cell the sweep already covered, re-run with telemetry on so
-  // the report carries registry metrics, state time series, and per-type
-  // message/byte counts without slowing the sweep itself.
-  const std::size_t size =
-      spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
-
-  // Per-protocol invariant-audit results, captured during the deep-dives
-  // and rendered as the top-level "anomalies" section after "runs".
-  struct AuditSnapshot {
-    Protocol protocol = Protocol::kHbh;
-    bool strict = false;
-    std::array<std::uint64_t, metrics::kAnomalyKindCount> counts{};
-    std::vector<metrics::AnomalyEvent> events;
-  };
-  std::vector<AuditSnapshot> audits;
-  double audit_wall_seconds = 0.0;
-
+  // One entry per protocol of the observed cell: registry metrics, state
+  // time series, span summary and convergence timelines of a trial the
+  // figure itself averages.
   w.key("runs");
   w.begin_object();
-  for (const auto& sweep : results) {
-    // The deep-dive gets its own profiler so its phases aggregate under
-    // the protocol label alongside the sweep's trials; the merge happens
-    // before the snapshot below, so this run is included in the section.
-    prof::PhaseProfiler dive_profiler;
-    std::optional<prof::ScopedProfiler> dive_install{std::in_place,
-                                                    dive_profiler};
-    TrialSetup setup =
-        prepare_trial(spec, sweep.protocol, cell_key(spec, size, 0));
-    Session& session = *setup.session;
-    session.enable_telemetry(spec.session.timers.tree_period);
-    session.enable_tracing();
-    // Deep-dives are always audited (record mode; strict only when the
-    // session already picked it up from HBH_AUDIT=strict) so the report's
-    // "anomalies" section is present — with zeros — on every clean run.
-    metrics::Auditor& auditor = session.enable_audit();
-    if (customize) customize(session);
-    {
-      HBH_PHASE("warmup");
-      session.run_for(setup.last_join + spec.warmup);
-    }
-    Measurement m;
-    {
-      HBH_PHASE("measure");
-      m = session.measure(spec.drain);
-    }
-    {
-      const auto audit_start = std::chrono::steady_clock::now();
-      session.audit_sweep();
-      AuditSnapshot snap;
-      snap.protocol = sweep.protocol;
-      snap.strict = auditor.config().strict;
-      for (std::size_t k = 0; k < metrics::kAnomalyKindCount; ++k) {
-        snap.counts[k] = auditor.count(static_cast<metrics::AnomalyKind>(k));
-      }
-      snap.events = auditor.events();
-      audits.push_back(std::move(snap));
-      audit_wall_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        audit_start)
-              .count();
-    }
-    dive_install.reset();
-    prof::process_profile().merge(to_string(sweep.protocol), dive_profiler);
+  for (const ObservedRun& run : observed.runs) {
+    Session& session = *run.session;
     const prof::PhaseMap profile =
-        prof::process_profile().snapshot(to_string(sweep.protocol));
+        prof::process_profile().snapshot(to_string(run.protocol));
     const metrics::ConvergenceSummary convergence =
         metrics::analyze_convergence(session.tracer()->spans());
 
@@ -470,34 +454,35 @@ bool write_run_report(const ExperimentSpec& spec,
     report.profile = &profile;
     report.registry = session.registry();
     report.sampler = session.sampler();
-    report.trace = session.trace();
     report.tracer = session.tracer();
     report.convergence = &convergence;
-    report.info["protocol"] = std::string(to_string(sweep.protocol));
+    report.info["protocol"] = std::string(to_string(run.protocol));
     report.info["topology"] = std::string(to_string(spec.topology));
-    report.numbers["group_size"] = static_cast<double>(size);
+    const Measurement& m = run.measurement;
+    report.numbers["group_size"] = static_cast<double>(observed.group_size);
     report.numbers["probe.tree_cost"] = static_cast<double>(m.tree_cost);
     report.numbers["probe.mean_delay"] = m.mean_delay;
     report.numbers["probe.delivered"] = m.delivered_exactly_once() ? 1 : 0;
     report.numbers["sim.end_time"] = session.simulator().now();
 
-    w.key(to_string(sweep.protocol));
+    w.key(to_string(run.protocol));
     w.begin_object();
     report.write_body(w);
     w.end_object();
   }
   w.end_object();
 
-  // Forwarding-plane invariant audit of the deep-dive runs. A clean run
+  // Forwarding-plane invariant audit of the observed runs. A clean run
   // reports all-zero counters; counters and events are deterministic at
-  // any HBH_JOBS (the deep-dives are serial), only audit_wall_seconds
-  // varies (report_scrub strips it).
+  // any HBH_JOBS, only audit_wall_seconds varies (report_scrub strips it).
   {
     std::uint64_t grand_total = 0;
     bool strict = false;
-    for (const AuditSnapshot& snap : audits) {
-      for (const std::uint64_t n : snap.counts) grand_total += n;
-      strict = strict || snap.strict;
+    double audit_wall_seconds = 0.0;
+    for (const ObservedRun& run : observed.runs) {
+      grand_total += run.session->auditor()->total();
+      strict = strict || run.session->auditor()->config().strict;
+      audit_wall_seconds += run.audit_seconds;
     }
     w.key("anomalies");
     w.begin_object();
@@ -507,19 +492,18 @@ bool write_run_report(const ExperimentSpec& spec,
     w.member("total", grand_total);
     w.key("by_protocol");
     w.begin_object();
-    for (const AuditSnapshot& snap : audits) {
-      w.key(to_string(snap.protocol));
+    for (const ObservedRun& run : observed.runs) {
+      const metrics::Auditor& auditor = *run.session->auditor();
+      w.key(to_string(run.protocol));
       w.begin_object();
-      std::uint64_t total = 0;
-      for (const std::uint64_t n : snap.counts) total += n;
-      w.member("total", total);
+      w.member("total", auditor.total());
       for (std::size_t k = 0; k < metrics::kAnomalyKindCount; ++k) {
-        w.member(to_string(static_cast<metrics::AnomalyKind>(k)),
-                 snap.counts[k]);
+        const auto kind = static_cast<metrics::AnomalyKind>(k);
+        w.member(to_string(kind), auditor.count(kind));
       }
       w.key("events");
       w.begin_array();
-      for (const metrics::AnomalyEvent& ev : snap.events) {
+      for (const metrics::AnomalyEvent& ev : auditor.events()) {
         w.begin_object();
         w.member("kind", to_string(ev.kind));
         w.member("t", ev.at);
@@ -550,83 +534,31 @@ bool write_run_report(const ExperimentSpec& spec,
   return out.good();
 }
 
-bool maybe_write_report_from_env(const ExperimentSpec& spec,
-                                 const std::vector<SweepResult>& results,
-                                 std::string_view figure) {
-  const std::string path = env_report_path();
-  if (path.empty()) return false;
-  return write_run_report(spec, results, figure, path);
-}
-
+/// HBH's causal trace from the observed cell, as Perfetto JSON.
 bool write_trace_file(const ExperimentSpec& spec, std::string_view figure,
-                      const std::string& path, const SessionHook& customize) {
-  // One serial instrumented HBH re-run (largest group size, trial 0): the
-  // same cell the report deep-dives. Serial by construction, so the file
-  // is byte-identical at any HBH_JOBS setting.
-  const std::size_t size =
-      spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
-  TrialSetup setup =
-      prepare_trial(spec, Protocol::kHbh, cell_key(spec, size, 0));
-  Session& session = *setup.session;
-  session.enable_tracing();
-  if (customize) customize(session);
-  session.run_for(setup.last_join + spec.warmup);
-  (void)session.measure(spec.drain);
-
-  std::map<std::string, std::string> info;
-  info["figure"] = std::string(figure);
-  info["protocol"] = std::string(to_string(Protocol::kHbh));
-  info["topology"] = std::string(to_string(spec.topology));
-  info["group_size"] = std::to_string(size);
-  return metrics::write_perfetto_trace(*session.tracer(), info, path);
+                      const ObservedCell& observed, const std::string& path) {
+  for (const ObservedRun& run : observed.runs) {
+    if (run.protocol != Protocol::kHbh) continue;
+    std::map<std::string, std::string> info;
+    info["figure"] = std::string(figure);
+    info["protocol"] = std::string(to_string(run.protocol));
+    info["topology"] = std::string(to_string(spec.topology));
+    info["group_size"] = std::to_string(observed.group_size);
+    return metrics::write_perfetto_trace(*run.session->tracer(), info, path);
+  }
+  return false;
 }
 
-bool maybe_write_trace_from_env(const ExperimentSpec& spec,
-                                std::string_view figure,
-                                const SessionHook& customize) {
-  const std::string path = env_trace_out();
-  if (path.empty()) return false;
-  return write_trace_file(spec, figure, path, customize);
-}
-
-bool write_audit_file(const ExperimentSpec& spec, std::string_view figure,
-                      const std::string& path, const SessionHook& customize) {
-  (void)figure;
-  // One serial audited re-run per protocol (largest group size, trial 0 —
-  // the cells the report deep-dives). Serial by construction, so the NDJSON
-  // stream is byte-identical at any HBH_JOBS setting. Record mode even
-  // under HBH_AUDIT=strict: the stream is the diagnosis artifact, so it
-  // must survive the anomaly the strict gate would abort on.
-  const std::size_t size =
-      spec.group_sizes.empty() ? 2 : spec.group_sizes.back();
+/// Every observed protocol's anomalies, one hbh.audit/v1 object a line.
+bool write_audit_file(const ObservedCell& observed, const std::string& path) {
   std::string out;
-  for (const Protocol protocol : all_protocols()) {
-    TrialSetup setup = prepare_trial(spec, protocol, cell_key(spec, size, 0));
-    Session& session = *setup.session;
-    metrics::Auditor& auditor = session.enable_audit();
-    if (customize) customize(session);
-    try {
-      session.run_for(setup.last_join + spec.warmup);
-      (void)session.measure(spec.drain);
-      session.audit_sweep();
-    } catch (const std::exception&) {
-      // HBH_AUDIT=strict aborts the run on the first anomaly, but the
-      // event was recorded before the throw — the stream still carries it.
-    }
-    auditor.append_ndjson(out, to_string(protocol));
+  for (const ObservedRun& run : observed.runs) {
+    run.session->auditor()->append_ndjson(out, to_string(run.protocol));
   }
   std::ofstream file(path);
   if (!file) return false;
   file << out;
   return file.good();
-}
-
-bool maybe_write_audit_from_env(const ExperimentSpec& spec,
-                                std::string_view figure,
-                                const SessionHook& customize) {
-  const std::string path = env_audit_out();
-  if (path.empty()) return false;
-  return write_audit_file(spec, figure, path, customize);
 }
 
 bool write_profile_file(std::string_view figure, const std::string& path) {
@@ -636,10 +568,45 @@ bool write_profile_file(std::string_view figure, const std::string& path) {
                                      info, path);
 }
 
-bool maybe_write_profile_from_env(std::string_view figure) {
-  const std::string path = env_prof_out();
-  if (path.empty()) return false;
-  return write_profile_file(figure, path);
+}  // namespace
+
+ArtifactPaths ArtifactPaths::from_env() {
+  return {env_report_path(), env_trace_out(), env_audit_out(), env_prof_out()};
+}
+
+bool write_artifacts(const ArtifactPaths& paths, const ExperimentSpec& spec,
+                     const std::vector<SweepResult>& results,
+                     std::string_view figure, const ObservedCell& observed,
+                     const ReportSectionHook& extra) {
+  bool ok = true;
+  const auto write = [&ok](const std::string& path, const char* artifact,
+                           const char* variable, auto&& writer) {
+    if (path.empty()) return;
+    if (writer(path)) {
+      std::printf("%s: %s\n", artifact, path.c_str());
+    } else {
+      std::fprintf(stderr, "error: cannot write %s=%s\n", variable,
+                   path.c_str());
+      ok = false;
+    }
+  };
+  write(paths.report, "report", "HBH_REPORT", [&](const std::string& path) {
+    return write_run_report(spec, results, figure, observed, extra, path);
+  });
+  write(paths.trace, "trace", "HBH_TRACE_OUT", [&](const std::string& path) {
+    return write_trace_file(spec, figure, observed, path);
+  });
+  write(paths.audit, "audit", "HBH_AUDIT_OUT", [&](const std::string& path) {
+    return write_audit_file(observed, path);
+  });
+  write(paths.profile, "profile", "HBH_PROF_OUT",
+        [&](const std::string& path) {
+          return write_profile_file(figure, path);
+        });
+  for (const ObservedRun& run : observed.runs) {
+    if (run.abort) std::rethrow_exception(run.abort);
+  }
+  return ok;
 }
 
 }  // namespace hbh::harness

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,20 +82,51 @@ struct SweepResult {
   std::vector<SweepCell> cells;
 };
 
-/// Runs the full sweep for one protocol. `jobs` sizes the worker pool
-/// fanning the (group size, trial) grid out across threads: 0 resolves
-/// HBH_JOBS / hardware_concurrency (harness::TrialPool), 1 is the serial
-/// path. Results are bit-identical for every job count: each trial writes
-/// a pre-sized grid slot and aggregation runs in grid order.
-[[nodiscard]] SweepResult run_sweep(const ExperimentSpec& spec,
-                                    Protocol protocol, std::size_t jobs = 0);
+/// One protocol's instrumented session from the observed cell, kept alive
+/// after its run so the artifact writers can read it.
+struct ObservedRun {
+  Protocol protocol{};
+  std::unique_ptr<Session> session;
+  Measurement measurement;
+  double audit_seconds = 0;  ///< wall time of the closing audit_sweep
+  /// A strict-audit abort (HBH_AUDIT=strict) caught mid-run, so the
+  /// violating event still reaches the artifacts; write_artifacts
+  /// rethrows it once they are written. `measurement` may then be empty.
+  std::exception_ptr abort;
+};
+
+/// The paired cell the artifacts describe — the largest swept group size,
+/// trial 0 — run with telemetry, tracing and the invariant auditor on.
+/// The observers change no event the protocols see, so the cell's trial
+/// results are the same as without them.
+struct ObservedCell {
+  std::size_t group_size = 0;
+  std::vector<ObservedRun> runs;  ///< all_protocols() order; empty if unrun
+};
 
 /// Runs all four protocols, fanning the (group size, trial) grid across
 /// one worker pool: each task is one paired cell, whose four protocols run
-/// back to back on one worker (HBH first) and share the cell's SPF table
-/// (same determinism contract and `jobs` semantics as run_sweep).
-[[nodiscard]] std::vector<SweepResult> run_all(const ExperimentSpec& spec,
-                                               std::size_t jobs = 0);
+/// back to back on one worker (HBH first) and share the cell's SPF table.
+/// `jobs` sizes the pool: 0 resolves HBH_JOBS / hardware_concurrency
+/// (harness::TrialPool), 1 is the serial path. Results are bit-identical
+/// for every job count: each trial writes a pre-sized grid slot and
+/// aggregation runs in grid order. `observed`, when given, receives the
+/// sweep's own observed cell, instrumented where the sweep runs it; a
+/// strict-audit abort there is held in the cell, not thrown, until
+/// write_artifacts rethrows it.
+[[nodiscard]] std::vector<SweepResult> run_all(
+    const ExperimentSpec& spec, std::size_t jobs = 0,
+    ObservedCell* observed = nullptr);
+
+/// Hook run on each observed session before its warmup — benches without
+/// a sweep use it to re-apply their scenario conditions (e.g. fault
+/// injection) so the artifacts reflect them.
+using SessionHook = std::function<void(Session&)>;
+
+/// Runs only the observed cell, through the same per-cell path as
+/// run_all, with `customize` applied — for benches that run no sweep.
+[[nodiscard]] ObservedCell observe_cell(const ExperimentSpec& spec,
+                                        const SessionHook& customize = {});
 
 /// Renders the figure-style table: one row per group size, one column per
 /// protocol. `metric` selects tree cost ("cost") or delay ("delay").
@@ -104,72 +137,50 @@ struct SweepResult {
 /// Machine-readable CSV (group_size,protocol,metric,mean,ci95,trials).
 [[nodiscard]] std::string format_csv(const std::vector<SweepResult>& results);
 
-/// Writes a machine-readable JSON run report (schema hbh.run_report/v2) to
-/// `path`: the sweep summary in `results`, plus one fully instrumented
-/// re-run per protocol (largest group size, trial 0, telemetry enabled) with
-/// registry metrics, sampled protocol-state time series, and per-type
-/// message/byte counts. `customize`, when set, runs on each instrumented
-/// session before the warmup — benches use it to re-apply their scenario
-/// conditions (e.g. fault injection) so the report reflects them.
-/// Returns false if the file could not be created. `extra`, when set, is
-/// called with the writer positioned inside the report's root object
-/// (after "runs", before "wall_seconds") — benches use it to append their
-/// own top-level sections (e.g. ablation_congestion's "congestion"); the
-/// hook must emit complete members (w.key(...) + balanced begin/end).
-using SessionHook = std::function<void(Session&)>;
+/// Called with the writer positioned inside the run report's root object
+/// (after "anomalies", before "wall_seconds") — benches use it to append
+/// their own top-level sections (e.g. ablation_congestion's
+/// "congestion"); the hook must emit complete members (w.key(...) +
+/// balanced begin/end).
 using ReportSectionHook = std::function<void(metrics::JsonWriter&)>;
-bool write_run_report(const ExperimentSpec& spec,
-                      const std::vector<SweepResult>& results,
-                      std::string_view figure, const std::string& path,
-                      const SessionHook& customize = {},
-                      const ReportSectionHook& extra = {});
 
-/// Honors HBH_REPORT=path.json (docs/OBSERVABILITY.md): writes the report
-/// there and returns true, or does nothing when the variable is unset.
-bool maybe_write_report_from_env(const ExperimentSpec& spec,
-                                 const std::vector<SweepResult>& results,
-                                 std::string_view figure);
+/// Where write_artifacts puts each artifact; an empty path skips it.
+struct ArtifactPaths {
+  std::string report;   ///< HBH_REPORT: hbh.run_report/v3 JSON
+  std::string trace;    ///< HBH_TRACE_OUT: hbh.trace/v1 Perfetto JSON
+  std::string audit;    ///< HBH_AUDIT_OUT: hbh.audit/v1 NDJSON
+  std::string profile;  ///< HBH_PROF_OUT: hbh.perf_profile/v3 JSON
 
-/// Writes a Perfetto/Chrome trace-event JSON (schema hbh.trace/v1) of one
-/// serial instrumented HBH re-run — the largest swept group size, trial 0,
-/// causal tracing enabled. Serial by construction, so the file is
-/// byte-identical at any HBH_JOBS setting. Returns false if the file could
-/// not be created.
-bool write_trace_file(const ExperimentSpec& spec, std::string_view figure,
-                      const std::string& path,
-                      const SessionHook& customize = {});
+  /// The paths the HBH_* variables name (docs/OBSERVABILITY.md).
+  [[nodiscard]] static ArtifactPaths from_env();
 
-/// Honors HBH_TRACE_OUT=path.json: writes the trace there and returns
-/// true, or does nothing when the variable is unset.
-bool maybe_write_trace_from_env(const ExperimentSpec& spec,
-                                std::string_view figure,
-                                const SessionHook& customize = {});
+  /// True when an artifact reads the observed cell (all but the profile).
+  [[nodiscard]] bool need_cell() const {
+    return !report.empty() || !trace.empty() || !audit.empty();
+  }
+};
 
-/// Writes the forwarding-plane invariant audit as NDJSON (one hbh.audit/v1
-/// object per anomaly; an empty file means a clean run): one serial audited
-/// re-run per protocol — the largest swept group size, trial 0, the same
-/// cell the report deep-dives. Serial by construction, so the file is
-/// byte-identical at any HBH_JOBS setting. Returns false if the file could
-/// not be created.
-bool write_audit_file(const ExperimentSpec& spec, std::string_view figure,
-                      const std::string& path,
-                      const SessionHook& customize = {});
-
-/// Honors HBH_AUDIT_OUT=path.ndjson: writes the audit stream there and
-/// returns true, or does nothing when the variable is unset.
-bool maybe_write_audit_from_env(const ExperimentSpec& spec,
-                                std::string_view figure,
-                                const SessionHook& customize = {});
-
-/// Writes the process-wide phase profile accumulated so far (every trial
-/// run_trial executed, the report deep-dives, report rendering) as a
-/// standalone hbh.perf_profile/v3 document keyed by protocol label.
-/// Timings vary run to run; phase counts are deterministic at any
-/// HBH_JOBS. Returns false if the file could not be created.
-bool write_profile_file(std::string_view figure, const std::string& path);
-
-/// Honors HBH_PROF_OUT=path.json: writes the profile there and returns
-/// true, or does nothing when the variable is unset.
-bool maybe_write_profile_from_env(std::string_view figure);
+/// Writes every artifact `paths` names, all from `observed` (run_all's or
+/// observe_cell's observed cell), and prints "<artifact>: <path>" for each
+/// (an error on stderr for a file that cannot be created):
+///   * report — the sweep summary of `results`, one "runs" entry per
+///     protocol (registry metrics, state time series, span summary,
+///     convergence timelines, phase profile), the "anomalies" section,
+///     then `extra`'s sections;
+///   * trace — HBH's causal trace as Perfetto JSON;
+///   * audit — every protocol's anomalies as NDJSON (empty when clean);
+///   * profile — the process-wide phase profile (every trial run so far,
+///     keyed by protocol label, plus the report's rendering); its phase
+///     counts are deterministic at any HBH_JOBS, its timings are not.
+/// Only the profile is independent of `observed`: a bench with no protocol
+/// runs passes a default spec, no results and an empty cell.
+/// The cell's sessions already ran, so the trace and audit files are
+/// byte-identical at any HBH_JOBS, and so is the report after
+/// tools/report_scrub. Returns false if a file could not be written. Rethrows a strict-audit
+/// abort the cell caught, after the files are written.
+bool write_artifacts(const ArtifactPaths& paths, const ExperimentSpec& spec,
+                     const std::vector<SweepResult>& results,
+                     std::string_view figure, const ObservedCell& observed,
+                     const ReportSectionHook& extra = {});
 
 }  // namespace hbh::harness

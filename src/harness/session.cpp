@@ -114,11 +114,10 @@ Session::Session(topo::Scenario scenario, Protocol protocol,
 }
 
 Session::~Session() {
-  net_->set_tap(nullptr);  // probe may outlive call frames, not the session
   net_->set_trace_hook(nullptr);
   if (sampler_) sampler_->stop();
+  if (active_probe_) net_->remove_tap(active_probe_.get());
   if (stats_tap_) net_->remove_tap(stats_tap_.get());
-  if (trace_) net_->remove_tap(trace_.get());
   if (auditor_) net_->remove_tap(auditor_.get());
 }
 
@@ -178,14 +177,9 @@ metrics::Registry& Session::enable_telemetry(Time sample_period) {
   registry_ = std::make_unique<metrics::Registry>();
   metrics::Registry& reg = *registry_;
 
-  // Fabric: per-type tx/byte counters + drop counts + size histogram, and
-  // a bounded structured trace for the report's message summary. Both ride
-  // the persistent multi-tap seam, so measure()'s exclusive probe slot
-  // stays free.
+  // Fabric: per-type tx/byte counters + drop counts + size histogram.
   stats_tap_ = std::make_unique<metrics::NetworkStatsTap>(reg);
-  trace_ = std::make_unique<metrics::MessageTrace>();
   net_->add_tap(stats_tap_.get());
-  net_->add_tap(trace_.get());
 
   // Simulator health.
   reg.bind_gauge("sim.pending",
@@ -476,8 +470,10 @@ std::vector<NodeId> Session::members_of(ChannelId id) const {
 Measurement Session::measure_on(ChannelId id, Time drain) {
   ChannelState& ch = channels_.at(id);
   const std::vector<NodeId> expected = members_of(id);
+  // Detach the previous probe (still attached if its measurement threw).
+  if (active_probe_) net_->remove_tap(active_probe_.get());
   active_probe_ = std::make_unique<metrics::DataProbe>(next_probe_++);
-  net_->set_tap(active_probe_.get());
+  net_->add_tap(active_probe_.get());
   for (auto& [host, receiver] : receivers_) {
     receiver->set_sink(active_probe_.get());
   }
@@ -497,7 +493,7 @@ Measurement Session::measure_on(ChannelId id, Time drain) {
   m.duplicated = active_probe_->duplicated();
   m.per_link = active_probe_->per_link();
 
-  net_->set_tap(nullptr);
+  net_->remove_tap(active_probe_.get());
   for (auto& [host, receiver] : receivers_) receiver->set_sink(nullptr);
 
   // Tree-cost drift vs the oracle SPT (HBH's exact forward-SPT claim;

@@ -30,7 +30,6 @@
 #include "metrics/probe.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
-#include "metrics/trace.hpp"
 #include "metrics/tracer.hpp"
 #include "net/network.hpp"
 #include "routing/unicast.hpp"
@@ -355,8 +354,8 @@ class Session {
   /// source tables must come through here.
   [[nodiscard]] net::ProtocolAgent& source_agent(ChannelId id = 0) const;
 
-  /// Switches run-wide telemetry on: installs a fabric stats tap and a
-  /// message trace on the network, binds protocol-state gauges (MFT/MCT
+  /// Switches run-wide telemetry on: installs a fabric stats tap on the
+  /// network (per-type message and byte counters), binds protocol-state gauges (MFT/MCT
   /// entry counts — total and per router class — event-queue depth,
   /// membership, channel count, per-agent message and timer counters),
   /// and arms a StateSampler that snapshots every gauge every
@@ -411,9 +410,6 @@ class Session {
   }
   [[nodiscard]] const metrics::StateSampler* sampler() const noexcept {
     return sampler_.get();
-  }
-  [[nodiscard]] const metrics::MessageTrace* trace() const noexcept {
-    return trace_.get();
   }
 
   /// Sum of all agents' receive/timer counters (always available),
@@ -498,7 +494,6 @@ class Session {
   // are destroyed first; ~Session detaches them from the network anyway.
   std::unique_ptr<metrics::Registry> registry_;
   std::unique_ptr<metrics::NetworkStatsTap> stats_tap_;
-  std::unique_ptr<metrics::MessageTrace> trace_;
   std::unique_ptr<metrics::StateSampler> sampler_;
   std::unique_ptr<metrics::Tracer> tracer_;
   std::unique_ptr<metrics::Auditor> auditor_;

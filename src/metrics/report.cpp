@@ -77,25 +77,6 @@ void RunReport::write_body(JsonWriter& w) const {
     w.member("samples_truncated", sampler->truncated());
   }
 
-  if (trace != nullptr) {
-    const auto counts = trace->histogram();
-    const auto bytes = trace->bytes_histogram();
-    w.key("messages");
-    w.begin_object();
-    for (const auto& [type, count] : counts) {
-      w.key(net::to_string(type));
-      w.begin_object();
-      w.member("count", count);
-      const auto it = bytes.find(type);
-      w.member("bytes", it == bytes.end() ? std::uint64_t{0}
-                                          : std::uint64_t{it->second});
-      w.end_object();
-    }
-    w.end_object();
-    w.member("messages_truncated", trace->truncated());
-    w.member("messages_dropped", trace->dropped());
-  }
-
   if (tracer != nullptr) {
     w.key("trace");
     w.begin_object();

@@ -1,9 +1,10 @@
-// Machine-readable run reports (schema "hbh.run_report/v2").
+// Machine-readable run reports (schema "hbh.run_report/v3").
 //
 // A RunReport bundles everything one instrumented run produced — free-form
-// metadata, the Registry's counters/gauges/histograms, the StateSampler's
-// time series, and a MessageTrace's per-type message/byte summary — and
-// serializes it to JSON. Benches opt in with HBH_REPORT=path.json (see
+// metadata, the Registry's counters/gauges/histograms (per-type message
+// and byte counts among them), the StateSampler's time series, the
+// Tracer's span summary and convergence timelines — and serializes it to
+// JSON. Benches opt in with HBH_REPORT=path.json (see
 // docs/OBSERVABILITY.md for the schema), giving every future perf PR a
 // baseline artifact to diff against.
 #pragma once
@@ -16,12 +17,11 @@
 #include "metrics/profiler.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
-#include "metrics/trace.hpp"
 #include "metrics/tracer.hpp"
 
 namespace hbh::metrics {
 
-inline constexpr std::string_view kRunReportSchema = "hbh.run_report/v2";
+inline constexpr std::string_view kRunReportSchema = "hbh.run_report/v3";
 
 struct RunReport {
   /// Free-form string metadata ("protocol", "topology", ...).
@@ -32,7 +32,6 @@ struct RunReport {
   /// Optional sections; null pointers are simply omitted from the JSON.
   const Registry* registry = nullptr;
   const StateSampler* sampler = nullptr;
-  const MessageTrace* trace = nullptr;
   const Tracer* tracer = nullptr;                 ///< causal span summary
   const ConvergenceSummary* convergence = nullptr;
   /// Aggregated phase profile (schema hbh.perf_profile/v3); omitted when
@@ -41,7 +40,7 @@ struct RunReport {
   const PhaseMap* profile = nullptr;
 
   /// Writes the report's keys into an already-open JSON object — lets a
-  /// caller embed several runs in one document (harness::write_run_report).
+  /// caller embed several runs in one document (harness::write_artifacts).
   void write_body(JsonWriter& w) const;
 
   /// Writes a standalone {schema, ...} document.

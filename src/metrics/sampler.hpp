@@ -26,7 +26,7 @@ struct Series {
 class StateSampler {
  public:
   /// Samples every `period` time units once started. `max_samples` bounds
-  /// memory per series for long runs (recording stops, like MessageTrace).
+  /// memory per series for long runs (recording stops; truncated() says so).
   StateSampler(sim::Simulator& simulator, Registry& registry, Time period,
                std::size_t max_samples = 100000);
 

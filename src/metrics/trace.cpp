@@ -1,95 +1,11 @@
 #include "metrics/trace.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <set>
 #include <sstream>
-
-#include "net/wire.hpp"
+#include <vector>
 
 namespace hbh::metrics {
-
-void MessageTrace::on_transmit(const net::Topology::Edge& edge,
-                               const net::Packet& packet, Time now) {
-  if (records_.size() >= capacity_) {
-    truncated_ = true;
-    ++dropped_;
-    return;
-  }
-  TraceRecord rec;
-  rec.at = now;
-  rec.from = edge.from;
-  rec.to = edge.to;
-  rec.type = packet.type;
-  rec.channel = packet.channel;
-  rec.src = packet.src;
-  rec.dst = packet.dst;
-  switch (packet.type) {
-    case net::PacketType::kJoin:
-      rec.detail = "R=" + packet.join().receiver.to_string() +
-                   (packet.join().first ? " first" : "") +
-                   (packet.join().fresh ? " fresh" : "");
-      break;
-    case net::PacketType::kTree:
-      rec.detail = "R=" + packet.tree().target.to_string() +
-                   " wave=" + std::to_string(packet.tree().wave) +
-                   (packet.tree().marked ? " marked" : "");
-      break;
-    case net::PacketType::kFusion:
-      rec.detail = "origin=" + packet.fusion().origin.to_string() + " n=" +
-                   std::to_string(packet.fusion().receivers.size());
-      break;
-    case net::PacketType::kPimJoin:
-    case net::PacketType::kPimPrune:
-      rec.detail = "root=" + packet.pim_join().root.to_string();
-      break;
-    case net::PacketType::kData:
-      rec.detail = "seq=" + std::to_string(packet.data().seq);
-      break;
-  }
-  bytes_.push_back(net::encoded_size(packet));
-  records_.push_back(std::move(rec));
-}
-
-std::vector<TraceRecord> MessageTrace::of_type(net::PacketType type, Time from,
-                                               Time to) const {
-  std::vector<TraceRecord> out;
-  for (const auto& rec : records_) {
-    if (rec.type == type && rec.at >= from && rec.at < to) {
-      out.push_back(rec);
-    }
-  }
-  return out;
-}
-
-std::map<net::PacketType, std::size_t> MessageTrace::histogram() const {
-  std::map<net::PacketType, std::size_t> out;
-  for (const auto& rec : records_) ++out[rec.type];
-  return out;
-}
-
-std::map<net::PacketType, std::size_t> MessageTrace::bytes_histogram() const {
-  std::map<net::PacketType, std::size_t> out;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    out[records_[i].type] += bytes_[i];
-  }
-  return out;
-}
-
-std::string MessageTrace::to_string(std::size_t max_lines) const {
-  std::ostringstream out;
-  std::size_t shown = 0;
-  for (const auto& rec : records_) {
-    if (shown++ >= max_lines) {
-      out << "... (" << records_.size() - max_lines << " more)\n";
-      break;
-    }
-    out << "t=" << rec.at << ' ' << hbh::to_string(rec.from) << "->"
-        << hbh::to_string(rec.to) << ' ' << net::to_string(rec.type) << ' '
-        << rec.detail << '\n';
-  }
-  return out.str();
-}
 
 std::string render_tree(
     const std::map<std::pair<NodeId, NodeId>, std::size_t>& per_link,

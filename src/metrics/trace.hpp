@@ -1,79 +1,15 @@
-// Structured message tracing and tree rendering.
-//
-// MessageTrace is a PacketTap that records every transmission as a typed
-// record (queryable by type/channel/time window) — the tooling equivalent
-// of ns-2's trace files. render_tree() turns a measured per-link copy map
-// into the indented ASCII tree the examples print.
+// Tree rendering: render_tree() turns a measured per-link copy map into
+// the indented ASCII tree the examples print. Per-type message and byte
+// counts live in the telemetry registry (metrics::NetworkStatsTap).
 #pragma once
 
-#include <functional>
-#include <limits>
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "net/network.hpp"
+#include "util/ids.hpp"
 
 namespace hbh::metrics {
-
-/// One recorded transmission.
-struct TraceRecord {
-  Time at = 0;
-  NodeId from;
-  NodeId to;
-  net::PacketType type = net::PacketType::kData;
-  net::Channel channel;
-  Ipv4Addr src;
-  Ipv4Addr dst;
-  std::string detail;  ///< type-specific summary (target, receiver, ...)
-};
-
-class MessageTrace : public net::PacketTap {
- public:
-  /// Record at most `capacity` entries (older entries are kept; recording
-  /// simply stops — bounded memory for long runs).
-  explicit MessageTrace(std::size_t capacity = 100000)
-      : capacity_(capacity) {}
-
-  void on_transmit(const net::Topology::Edge& edge, const net::Packet& packet,
-                   Time now) override;
-
-  [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] bool truncated() const noexcept { return truncated_; }
-  /// Transmissions that arrived after capacity was reached (not recorded).
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  void clear() {
-    records_.clear();
-    bytes_.clear();  // parallel to records_ — must reset together
-    truncated_ = false;
-    dropped_ = 0;
-  }
-
-  /// Records of one type, optionally restricted to [from, to) time.
-  [[nodiscard]] std::vector<TraceRecord> of_type(
-      net::PacketType type, Time from = 0,
-      Time to = std::numeric_limits<Time>::infinity()) const;
-
-  /// Count per packet type (control overhead breakdown).
-  [[nodiscard]] std::map<net::PacketType, std::size_t> histogram() const;
-
-  /// Total encoded bytes per packet type, using the wire codec sizes.
-  [[nodiscard]] std::map<net::PacketType, std::size_t> bytes_histogram()
-      const;
-
-  /// Multi-line human-readable dump (for examples / debugging).
-  [[nodiscard]] std::string to_string(std::size_t max_lines = 50) const;
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceRecord> records_;
-  std::vector<std::size_t> bytes_;  ///< parallel to records_
-  bool truncated_ = false;
-  std::uint64_t dropped_ = 0;  ///< records lost to the capacity cap
-};
 
 /// Renders a measured distribution tree (Measurement::per_link) as an
 /// indented ASCII tree rooted at `root`. Links not reachable from the root

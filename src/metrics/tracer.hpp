@@ -9,10 +9,10 @@
 // causal tree per root. Table mutations, deliveries, and drops are instant
 // events hung off the span that caused them.
 //
-// Span ids are allocated sequentially in simulation-event order, so a
-// serial instrumented run produces byte-identical traces at any HBH_JOBS
-// setting (the harness only ever traces serial re-runs). Recording is
-// capacity-bounded like StateSampler/MessageTrace: ids keep advancing when
+// Span ids are allocated sequentially in simulation-event order, so an
+// instrumented run produces byte-identical traces at any HBH_JOBS setting
+// (one session runs on one thread from start to end). Recording is
+// capacity-bounded like StateSampler: ids keep advancing when
 // full (structure stays deterministic) while dropped spans are counted.
 #pragma once
 

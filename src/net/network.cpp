@@ -254,9 +254,6 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
   if (depth > q.high_water) q.high_water = depth;
   ++q.admitted;
   ++counters_.queued_packets;
-  if (tap_ != nullptr) {
-    tap_->on_queue(edge, packet, wait, serialization, depth, now);
-  }
   for (PacketTap* tap : taps_) {
     tap->on_queue(edge, packet, wait, serialization, depth, now);
   }
@@ -329,7 +326,6 @@ void Network::transmit(LinkId link, Packet packet) {
       copy.trace =
           trace_hook_->on_transmit(edge, copy, sim_.now(), sim_.now() + latency);
     }
-    if (tap_ != nullptr) tap_->on_transmit(edge, copy, sim_.now());
     for (PacketTap* tap : taps_) tap->on_transmit(edge, copy, sim_.now());
     HBH_LOG(LogLevel::kTrace, to_string(from), "->", to_string(to), " ",
         copy.describe());
@@ -363,7 +359,6 @@ void Network::arrive(std::uint32_t slot) {
   free_slots_.push_back(slot);
   ProtocolAgent& agent = *agents_[to.index()];
   ++agent.stats_.rx_by_type[static_cast<std::size_t>(packet.type)];
-  if (tap_ != nullptr) tap_->on_deliver(to, from, packet, sim_.now());
   for (PacketTap* tap : taps_) tap->on_deliver(to, from, packet, sim_.now());
   agent.handle(std::move(packet), from);
 }
@@ -385,7 +380,6 @@ void Network::drop(NodeId at, const Packet& packet, std::string_view reason) {
   if (trace_hook_ != nullptr && packet.trace.active()) {
     trace_hook_->on_drop(at, packet, reason, sim_.now());
   }
-  if (tap_ != nullptr) tap_->on_drop(at, packet, reason, sim_.now());
   for (PacketTap* tap : taps_) tap->on_drop(at, packet, reason, sim_.now());
   HBH_LOG(LogLevel::kDebug, to_string(at), " drop(", reason, ") ",
       packet.describe());

@@ -234,13 +234,8 @@ class Network {
   /// exist). Used for multicast (RPF) forwarding along installed oifs.
   void send_direct(NodeId from, NodeId neighbor, Packet packet);
 
-  /// Sets the exclusive *measurement* tap slot (one active probe at a
-  /// time; pass nullptr to clear). Persistent observers — telemetry stats,
-  /// message traces — use add_tap()/remove_tap() instead and coexist with
-  /// whatever probe occupies this slot.
-  void set_tap(PacketTap* tap) noexcept { tap_ = tap; }
-
-  /// Registers a persistent observer (no ownership; at most once each).
+  /// Registers an observer (no ownership; at most once each). Taps are
+  /// notified in registration order.
   void add_tap(PacketTap* tap);
   void remove_tap(PacketTap* tap) noexcept;
 
@@ -341,8 +336,7 @@ class Network {
   const Topology& topo_;
   const routing::UnicastRouting& routes_;
   std::vector<std::unique_ptr<ProtocolAgent>> agents_;
-  PacketTap* tap_ = nullptr;
-  std::vector<PacketTap*> taps_;  ///< persistent observers (telemetry)
+  std::vector<PacketTap*> taps_;  ///< observers, in registration order
   TraceHook* trace_hook_ = nullptr;
   NetworkCounters counters_;
   ImpairmentPlane impairments_;

@@ -48,11 +48,11 @@ namespace hbh {
 /// HBH_CSV — nonzero: benches also print machine-readable CSV.
 [[nodiscard]] bool env_csv();
 
-/// HBH_REPORT — path for the hbh.run_report/v2 JSON; empty = no report.
+/// HBH_REPORT — path for the hbh.run_report/v3 JSON; empty = no report.
 [[nodiscard]] std::string env_report_path();
 
-/// HBH_TRACE_OUT — path for a Perfetto/Chrome trace-event JSON of one
-/// instrumented serial re-run (schema hbh.trace/v1); empty = no trace.
+/// HBH_TRACE_OUT — path for a Perfetto/Chrome trace-event JSON of the
+/// observed cell's HBH trial (schema hbh.trace/v1); empty = no trace.
 [[nodiscard]] std::string env_trace_out();
 
 /// HBH_PERF_OUT — path for a perf bench's JSON artifact. Each bench passes
@@ -116,8 +116,8 @@ namespace hbh {
 [[nodiscard]] std::string env_audit();
 
 /// HBH_AUDIT_OUT — path for a deterministic NDJSON anomaly-event stream
-/// (schema hbh.audit/v1) from one instrumented serial re-run per protocol;
-/// empty = no audit file.
+/// (schema hbh.audit/v1) from the observed cell's four trials; empty = no
+/// audit file.
 [[nodiscard]] std::string env_audit_out();
 
 }  // namespace hbh

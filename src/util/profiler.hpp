@@ -110,8 +110,7 @@ class PhaseProfiler {
 [[nodiscard]] PhaseProfiler* current_profiler() noexcept;
 
 /// Installs `p` as the calling thread's profiler for this scope's lifetime
-/// (restoring the previous one on destruction, so installs nest — e.g. a
-/// per-protocol deep-dive inside a profiled report render).
+/// (restoring the previous one on destruction, so installs nest).
 class ScopedProfiler {
  public:
   explicit ScopedProfiler(PhaseProfiler& p) noexcept;

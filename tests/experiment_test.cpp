@@ -2,11 +2,19 @@
 // table/CSV formatting, and the session plumbing they rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "metrics/json_parse.hpp"
 #include "topo/isp.hpp"
 
 namespace hbh::harness {
@@ -64,7 +72,10 @@ TEST(ExperimentTest, HbhDeliversInAllTinyTrials) {
 
 TEST(ExperimentTest, SweepAggregatesTrials) {
   const ExperimentSpec spec = tiny_spec();
-  const SweepResult sweep = run_sweep(spec, Protocol::kPimSs);
+  const auto results = run_all(spec);
+  ASSERT_EQ(results.size(), all_protocols().size());
+  const SweepResult& sweep = results[1];
+  ASSERT_EQ(sweep.protocol, Protocol::kPimSs);
   ASSERT_EQ(sweep.cells.size(), 1u);
   EXPECT_EQ(sweep.cells[0].group_size, 3u);
   EXPECT_EQ(sweep.cells[0].tree_cost.count(), 3u);
@@ -85,21 +96,6 @@ TEST(ExperimentTest, ParallelRunAllIsBitIdenticalToSerial) {
   EXPECT_EQ(format_table(serial, "delay", /*with_ci=*/true),
             format_table(parallel, "delay", /*with_ci=*/true));
   EXPECT_EQ(format_csv(serial), format_csv(parallel));
-}
-
-TEST(ExperimentTest, ParallelSweepMatchesSerialSweep) {
-  const ExperimentSpec spec = tiny_spec();
-  const SweepResult serial = run_sweep(spec, Protocol::kHbh, /*jobs=*/1);
-  const SweepResult parallel = run_sweep(spec, Protocol::kHbh, /*jobs=*/3);
-  ASSERT_EQ(serial.cells.size(), parallel.cells.size());
-  for (std::size_t c = 0; c < serial.cells.size(); ++c) {
-    EXPECT_EQ(serial.cells[c].tree_cost.mean(),
-              parallel.cells[c].tree_cost.mean());
-    EXPECT_EQ(serial.cells[c].mean_delay.mean(),
-              parallel.cells[c].mean_delay.mean());
-    EXPECT_EQ(serial.cells[c].delivery_failures,
-              parallel.cells[c].delivery_failures);
-  }
 }
 
 /// Per-trial results keyed by (protocol, group size, trial index).
@@ -216,6 +212,162 @@ TEST(ExperimentTest, RunTrialCellReuseNeverChangesResults) {
   }
   EXPECT_TRUE(any_differs);
   expect_matches_run_all(run_all(symmetric, 1), symmetric, sym);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path};
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// JSON equality, skipping the members that hold wall-clock timings
+/// (tools/report_scrub drops these too) and the phase profile, which
+/// aggregates every run in the process rather than one sweep.
+bool same_report(const metrics::JsonValue& a, const metrics::JsonValue& b) {
+  using Kind = metrics::JsonValue::Kind;
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case Kind::kNull:
+      return true;
+    case Kind::kBool:
+      return a.boolean == b.boolean;
+    case Kind::kNumber:
+      return a.number == b.number;
+    case Kind::kString:
+      return a.string == b.string;
+    case Kind::kArray:
+      return std::equal(a.array.begin(), a.array.end(), b.array.begin(),
+                        b.array.end(), same_report);
+    case Kind::kObject:
+      break;
+  }
+  const auto skipped = [](const std::string& key) {
+    return key == "wall_seconds" || key == "audit_wall_seconds" ||
+           key == "perf_profile";
+  };
+  std::vector<const std::pair<std::string, metrics::JsonValue>*> x;
+  std::vector<const std::pair<std::string, metrics::JsonValue>*> y;
+  for (const auto& m : a.object) if (!skipped(m.first)) x.push_back(&m);
+  for (const auto& m : b.object) if (!skipped(m.first)) y.push_back(&m);
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const auto* l, const auto* r) {
+                      return l->first == r->first &&
+                             same_report(l->second, r->second);
+                    });
+}
+
+TEST(ExperimentTest, ObservedCellIsTheSweepsOwnCell) {
+  // Observing a cell must not change what the sweep computes, at any job
+  // count, and the observed sessions are the sweep's own trials of the
+  // largest group size, trial 0.
+  ExperimentSpec spec = tiny_spec();
+  spec.group_sizes = {2, 4};
+  spec.trials = 2;
+  for (const std::size_t jobs : {1u, 2u}) {
+    const auto plain = run_all(spec, jobs);
+    ObservedCell cell;
+    const auto observed = run_all(spec, jobs, &cell);
+    EXPECT_EQ(format_table(observed, "cost", /*with_ci=*/true),
+              format_table(plain, "cost", /*with_ci=*/true));
+    EXPECT_EQ(format_table(observed, "delay", /*with_ci=*/true),
+              format_table(plain, "delay", /*with_ci=*/true));
+    EXPECT_EQ(format_csv(observed), format_csv(plain));
+
+    EXPECT_EQ(cell.group_size, 4u);
+    ASSERT_EQ(cell.runs.size(), all_protocols().size());
+    for (std::size_t p = 0; p < cell.runs.size(); ++p) {
+      const ObservedRun& run = cell.runs[p];
+      EXPECT_EQ(run.protocol, all_protocols()[p]);
+      ASSERT_NE(run.session, nullptr);
+      EXPECT_NE(run.session->registry(), nullptr);
+      EXPECT_NE(run.session->tracer(), nullptr);
+      EXPECT_NE(run.session->auditor(), nullptr);
+      EXPECT_FALSE(run.abort);
+      const TrialResult trial = run_trial(spec, run.protocol, 4, 0);
+      EXPECT_EQ(static_cast<double>(run.measurement.tree_cost),
+                trial.tree_cost);
+      EXPECT_EQ(run.measurement.mean_delay, trial.mean_delay);
+      EXPECT_EQ(run.measurement.delivered_exactly_once(), trial.delivered);
+    }
+  }
+}
+
+TEST(ExperimentTest, ObservedCellArtifactsAreJobsInvariant) {
+  ExperimentSpec spec = tiny_spec();
+  spec.group_sizes = {2, 4};
+  spec.trials = 2;
+  ArtifactPaths at[2];
+  const std::size_t jobs[2] = {1, 2};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string stem =
+        testing::TempDir() + "observed_jobs" + std::to_string(jobs[i]);
+    at[i].report = stem + ".report.json";
+    at[i].trace = stem + ".trace.json";
+    at[i].audit = stem + ".audit.ndjson";
+    ObservedCell cell;
+    const auto results = run_all(spec, jobs[i], &cell);
+    ASSERT_TRUE(write_artifacts(at[i], spec, results, "test", cell));
+  }
+  const std::string trace = read_file(at[0].trace);
+  EXPECT_NE(trace.find("hbh.trace/v1"), std::string::npos);
+  EXPECT_EQ(trace, read_file(at[1].trace));
+  EXPECT_EQ(read_file(at[0].audit), read_file(at[1].audit));
+
+  metrics::JsonValue report[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(metrics::parse_json_file(at[i].report, report[i]));
+  }
+  ASSERT_NE(report[0].find("runs", "HBH", "counters", "net.tx_bytes.tree"),
+            nullptr);
+  EXPECT_TRUE(same_report(report[0], report[1]));
+  for (const ArtifactPaths& p : at) {
+    std::remove(p.report.c_str());
+    std::remove(p.trace.c_str());
+    std::remove(p.audit.c_str());
+  }
+}
+
+/// Every receiver access link duplicates what it carries, so each probe
+/// copy reaches its host twice — a duplicate delivery for every protocol
+/// that promises at-most-once (all but REUNITE).
+void duplicate_access_links(Session& session) {
+  const topo::Scenario& scenario = session.scenario();
+  net::Impairment dup;
+  dup.duplicate = 1.0;
+  session.seed_impairments(9);
+  for (std::size_t i = 0; i < scenario.hosts.size(); ++i) {
+    if (scenario.hosts[i] == scenario.source_host) continue;
+    session.impair_link(scenario.routers[i], scenario.hosts[i], dup);
+  }
+}
+
+TEST(ExperimentTest, ObservedAuditStreamCarriesSeededViolations) {
+  const ExperimentSpec spec = tiny_spec();
+  ArtifactPaths paths;
+  paths.audit = testing::TempDir() + "observed_audit.ndjson";
+  ASSERT_TRUE(write_artifacts(paths, spec, {}, "test",
+                              observe_cell(spec, duplicate_access_links)));
+  const std::string recorded = read_file(paths.audit);
+  EXPECT_NE(recorded.find("\"kind\":\"duplicate-delivery\""),
+            std::string::npos)
+      << recorded;
+
+  // HBH_AUDIT=strict aborts each run on its first violation. The stream
+  // is written before the abort is rethrown, and carries each run's first
+  // recorded event.
+  setenv("HBH_AUDIT", "strict", 1);
+  const ObservedCell strict = observe_cell(spec, duplicate_access_links);
+  unsetenv("HBH_AUDIT");
+  EXPECT_THROW((void)write_artifacts(paths, spec, {}, "test", strict),
+               std::runtime_error);
+  const std::string aborted = read_file(paths.audit);
+  ASSERT_FALSE(aborted.empty());
+  std::istringstream lines{aborted};
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_NE(recorded.find(line + "\n"), std::string::npos) << line;
+  }
+  std::remove(paths.audit.c_str());
 }
 
 TEST(ExperimentTest, TableFormatContainsAllProtocolsAndSizes) {

@@ -46,7 +46,7 @@ class IgmpLeaf : public ::testing::Test {
     routes = std::make_unique<routing::UnicastRouting>(topo);
     net = std::make_unique<net::Network>(sim, topo, *routes);
     tap.leaf = NodeId{1};
-    net->set_tap(&tap);
+    net->add_tap(&tap);
     ch = net::Channel{net->address_of(sh), GroupAddr::ssm(1)};
     source = static_cast<HbhSource*>(
         &net->attach(sh, std::make_unique<HbhSource>(ch, cfg)));

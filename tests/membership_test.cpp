@@ -44,7 +44,7 @@ struct Fixture {
     net = std::make_unique<net::Network>(sim, topo, *routes);
     receiver = static_cast<ReceiverHost*>(&net->attach(
         host, std::make_unique<ReceiverHost>(style, McastConfig{})));
-    net->set_tap(&spy);
+    net->add_tap(&spy);
     channel = net::Channel{net->address_of(NodeId{0}), GroupAddr::ssm(7)};
     net->start();
   }

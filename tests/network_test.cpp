@@ -127,7 +127,7 @@ TEST(NetworkTest, TapObservesEveryHopInOrder) {
   Fixture f;
   f.build_line();
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   f.net->send(NodeId{0}, make_data(*f.net, NodeId{0}, NodeId{3}));
   f.sim.run();
   ASSERT_EQ(tap.hops.size(), 3u);
@@ -151,7 +151,7 @@ TEST(NetworkTest, UnknownDestinationIsDropped) {
   Fixture f;
   f.build_line();
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   Packet p = make_data(*f.net, NodeId{0}, NodeId{1});
   p.dst = Ipv4Addr(8, 8, 8, 8);
   f.net->send(NodeId{0}, std::move(p));
@@ -169,7 +169,7 @@ TEST(NetworkTest, NoRouteIsDropped) {
   f.routes = std::make_unique<UnicastRouting>(f.topo);
   f.net = std::make_unique<Network>(f.sim, f.topo, *f.routes);
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   f.net->send(NodeId{0}, make_data(*f.net, NodeId{0}, NodeId{1}));
   f.sim.run();
   ASSERT_EQ(tap.drops.size(), 1u);
@@ -182,7 +182,7 @@ TEST(NetworkTest, TtlExpiryBoundsForwarding) {
   Packet p = make_data(*f.net, NodeId{0}, NodeId{3});
   p.ttl = 2;  // enough for 2 hops only
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   f.net->send(NodeId{0}, std::move(p));
   f.sim.run();
   EXPECT_EQ(tap.hops.size(), 2u);
@@ -213,7 +213,7 @@ TEST(NetworkTest, SendDirectUsesNamedLinkOnly) {
   Fixture f;
   f.build_line();
   RecordingTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   // Direct transmission 1->2 of a packet addressed elsewhere; the next
   // agent (default) will then forward it by unicast toward node 0.
   Packet p = make_data(*f.net, NodeId{1}, NodeId{0});

@@ -53,7 +53,7 @@ class PimRules : public ::testing::Test {
       routers[i] = static_cast<PimRouter*>(
           &net->attach(NodeId{i}, std::make_unique<PimRouter>(cfg)));
     }
-    net->set_tap(&tap);
+    net->add_tap(&tap);
     ch = net::Channel{net->address_of(sh), GroupAddr::ssm(1)};
   }
 

@@ -93,7 +93,7 @@ TEST(QueueTest, DropTailAdmitsExactlyQueueLimit) {
                              .queue_limit = 4});
   f.finish();
   QueueTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   for (int i = 0; i < 5; ++i) {
     f.net->send_direct(NodeId{0}, NodeId{1}, make_data(*f.net, NodeId{0},
                                                        NodeId{1}));
@@ -118,7 +118,7 @@ TEST(QueueTest, DrainOrderingMatchesSerializationSchedule) {
   auto& sink = static_cast<RecordingAgent&>(
       f.net->attach(NodeId{1}, std::make_unique<RecordingAgent>()));
   QueueTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   const Time ser =
       static_cast<Time>(encoded_size(make_data(*f.net, NodeId{0}, NodeId{1}))) /
       10.0;
@@ -215,7 +215,7 @@ TEST(QueueTest, HighWaterMarkAndAdmittedTrackOccupancy) {
                              .queue_limit = 4});
   f.finish();
   QueueTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   const LinkId link = *f.topo.find_link(NodeId{0}, NodeId{1});
   for (int i = 0; i < 5; ++i) {
     f.net->send_direct(NodeId{0}, NodeId{1}, make_data(*f.net, NodeId{0},
@@ -257,7 +257,7 @@ TEST(QueueTest, RedDecisionsAreSeedDeterministic) {
     f.finish();
     f.net->seed_aqm(seed);
     QueueTap tap;
-    f.net->set_tap(&tap);
+    f.net->add_tap(&tap);
     for (int i = 0; i < 200; ++i) {
       f.sim.schedule(0.5 * i, [&f] {
         f.net->send_direct(NodeId{0}, NodeId{1},
@@ -285,7 +285,7 @@ TEST(QueueTest, UncapacitatedLinksStayUntouched) {
   auto& sink = static_cast<RecordingAgent&>(
       f.net->attach(NodeId{1}, std::make_unique<RecordingAgent>()));
   QueueTap tap;
-  f.net->set_tap(&tap);
+  f.net->add_tap(&tap);
   for (int i = 0; i < 8; ++i) {
     f.net->send_direct(NodeId{0}, NodeId{1}, make_data(*f.net, NodeId{0},
                                                        NodeId{1}));

@@ -50,7 +50,7 @@ class ReuniteRules : public ::testing::Test {
     net = std::make_unique<net::Network>(sim, topo, *routes);
     b = static_cast<ReuniteRouter*>(
         &net->attach(NodeId{1}, std::make_unique<ReuniteRouter>(cfg)));
-    net->set_tap(&tap);
+    net->add_tap(&tap);
     ch = net::Channel{net->address_of(sh), GroupAddr::ssm(1)};
     s_addr = net->address_of(sh);
     r_addr = net->address_of(rh);

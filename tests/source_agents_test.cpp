@@ -58,7 +58,7 @@ struct Fixture {
     topo.add_duplex(NodeId{1}, rh, net::LinkAttrs{1, 1});
     routes = std::make_unique<routing::UnicastRouting>(topo);
     net = std::make_unique<net::Network>(sim, topo, *routes);
-    net->set_tap(&tap);
+    net->add_tap(&tap);
     ch = net::Channel{net->address_of(sh), GroupAddr::ssm(1)};
   }
 

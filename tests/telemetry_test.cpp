@@ -522,8 +522,8 @@ TEST_F(SessionTelemetryTest, GaugesAndTapsTrackTheRun) {
   EXPECT_GT(reg.gauge("agents.timer_fires").value(), 0.0);
   EXPECT_GT(reg.gauge("sim.executed_events").value(), 0.0);
 
-  ASSERT_NE(session_->trace(), nullptr);
-  EXPECT_GT(session_->trace()->histogram().at(net::PacketType::kJoin), 0u);
+  EXPECT_GT(reg.counter("net.tx_bytes.join").value(),
+            reg.counter("net.tx.join").value());
 }
 
 TEST_F(SessionTelemetryTest, SamplerRecordsStateSeries) {
@@ -546,14 +546,13 @@ TEST_F(SessionTelemetryTest, RunReportIsSchemaValidJson) {
   report.numbers["group_size"] = 4;
   report.registry = registry_;
   report.sampler = session_->sampler();
-  report.trace = session_->trace();
   std::ostringstream out;
   report.write(out);
   const std::string doc = out.str();
   EXPECT_TRUE(json_valid(doc)) << doc.substr(0, 400);
   for (const char* key :
-       {"\"schema\"", "\"hbh.run_report/v2\"", "\"counters\"", "\"gauges\"",
-        "\"series\"", "\"messages\"", "\"sample_period\""}) {
+       {"\"schema\"", "\"hbh.run_report/v3\"", "\"counters\"", "\"gauges\"",
+        "\"net.tx_bytes.join\"", "\"series\"", "\"sample_period\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
 }
@@ -563,9 +562,12 @@ TEST(RunReportTest, ExperimentReportEndToEnd) {
   spec.topology = harness::TopoKind::kIsp;
   spec.group_sizes = {4};
   spec.trials = 1;
-  const auto results = harness::run_all(spec);
-  const std::string path = testing::TempDir() + "hbh_report_test.json";
-  ASSERT_TRUE(harness::write_run_report(spec, results, "test", path));
+  harness::ObservedCell cell;
+  const auto results = harness::run_all(spec, 0, &cell);
+  harness::ArtifactPaths paths;
+  paths.report = testing::TempDir() + "hbh_report_test.json";
+  const std::string& path = paths.report;
+  ASSERT_TRUE(harness::write_artifacts(paths, spec, results, "test", cell));
 
   std::ifstream in{path};
   ASSERT_TRUE(in.good());
@@ -574,11 +576,12 @@ TEST(RunReportTest, ExperimentReportEndToEnd) {
   const std::string doc = buffer.str();
   EXPECT_TRUE(json_valid(doc));
   for (const char* key :
-       {"\"hbh.run_report/v2\"", "\"sweep\"", "\"runs\"", "\"HBH\"",
+       {"\"hbh.run_report/v3\"", "\"sweep\"", "\"runs\"", "\"HBH\"",
         "\"PIM-SM\"", "\"series\"", "\"state.forwarding_entries\"",
-        "\"messages\"", "\"wall_seconds\""}) {
+        "\"net.tx_bytes.tree\"", "\"wall_seconds\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
+  EXPECT_EQ(doc.find("\"messages"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -591,12 +594,17 @@ TEST(RunReportTest, EnvVarOptIn) {
       {harness::Protocol::kHbh, {}}};
 
   unsetenv("HBH_REPORT");
-  EXPECT_FALSE(harness::maybe_write_report_from_env(spec, results, "env"));
+  EXPECT_TRUE(harness::ArtifactPaths::from_env().report.empty());
+  EXPECT_FALSE(harness::ArtifactPaths::from_env().need_cell());
 
   const std::string path = testing::TempDir() + "hbh_report_env_test.json";
   setenv("HBH_REPORT", path.c_str(), 1);
-  EXPECT_TRUE(harness::maybe_write_report_from_env(spec, results, "env"));
+  const harness::ArtifactPaths paths = harness::ArtifactPaths::from_env();
   unsetenv("HBH_REPORT");
+  EXPECT_EQ(paths.report, path);
+  EXPECT_TRUE(paths.need_cell());
+  EXPECT_TRUE(harness::write_artifacts(paths, spec, results, "env",
+                                       harness::observe_cell(spec)));
   std::ifstream in{path};
   EXPECT_TRUE(in.good());
   std::stringstream buffer;

@@ -1,130 +1,10 @@
-// Tests for the message tracer and the ASCII tree renderer.
+// Tests for the ASCII tree renderer.
 #include <gtest/gtest.h>
 
 #include "metrics/trace.hpp"
-#include "net/wire.hpp"
 
 namespace hbh::metrics {
 namespace {
-
-net::Topology::Edge edge(std::uint32_t a, std::uint32_t b) {
-  return net::Topology::Edge{NodeId{a}, NodeId{b}, net::LinkAttrs{1, 1}};
-}
-
-net::Packet packet_of(net::PacketType type) {
-  net::Packet p;
-  p.type = type;
-  p.src = Ipv4Addr{10, 0, 0, 1};
-  p.dst = Ipv4Addr{10, 0, 1, 1};
-  p.channel = net::Channel{Ipv4Addr{10, 0, 0, 1}, GroupAddr::ssm(1)};
-  switch (type) {
-    case net::PacketType::kJoin:
-      p.payload = net::JoinPayload{Ipv4Addr{10, 0, 2, 1}, true, false};
-      break;
-    case net::PacketType::kTree:
-      p.payload = net::TreePayload{Ipv4Addr{10, 0, 2, 1}, true, {}, 5};
-      break;
-    case net::PacketType::kFusion:
-      p.payload = net::FusionPayload{{Ipv4Addr{10, 0, 2, 1}},
-                                     Ipv4Addr{10, 0, 3, 1}};
-      break;
-    case net::PacketType::kPimJoin:
-    case net::PacketType::kPimPrune:
-      p.payload = net::PimJoinPayload{Ipv4Addr{10, 0, 0, 1},
-                                      Ipv4Addr{10, 0, 2, 1}};
-      break;
-    case net::PacketType::kData:
-      p.payload = net::DataPayload{1, 9, 0, false};
-      break;
-  }
-  return p;
-}
-
-TEST(MessageTraceTest, RecordsTransmissionsWithDetails) {
-  MessageTrace trace;
-  trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kJoin), 1.5);
-  trace.on_transmit(edge(1, 2), packet_of(net::PacketType::kTree), 2.5);
-  ASSERT_EQ(trace.records().size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.records()[0].at, 1.5);
-  EXPECT_EQ(trace.records()[0].from, NodeId{0});
-  EXPECT_NE(trace.records()[0].detail.find("first"), std::string::npos);
-  EXPECT_NE(trace.records()[1].detail.find("wave=5"), std::string::npos);
-  EXPECT_NE(trace.records()[1].detail.find("marked"), std::string::npos);
-}
-
-TEST(MessageTraceTest, HistogramCountsPerType) {
-  MessageTrace trace;
-  trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kJoin), 1);
-  trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kJoin), 2);
-  trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kData), 3);
-  const auto hist = trace.histogram();
-  EXPECT_EQ(hist.at(net::PacketType::kJoin), 2u);
-  EXPECT_EQ(hist.at(net::PacketType::kData), 1u);
-  EXPECT_FALSE(hist.contains(net::PacketType::kTree));
-}
-
-TEST(MessageTraceTest, BytesHistogramMatchesWireSizes) {
-  MessageTrace trace;
-  const auto join = packet_of(net::PacketType::kJoin);
-  trace.on_transmit(edge(0, 1), join, 1);
-  trace.on_transmit(edge(1, 2), join, 2);
-  EXPECT_EQ(trace.bytes_histogram().at(net::PacketType::kJoin),
-            2 * net::encoded_size(join));
-}
-
-TEST(MessageTraceTest, TypeAndWindowFiltering) {
-  MessageTrace trace;
-  for (int i = 0; i < 10; ++i) {
-    trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kTree), i);
-  }
-  EXPECT_EQ(trace.of_type(net::PacketType::kTree, 3, 7).size(), 4u);
-  EXPECT_TRUE(trace.of_type(net::PacketType::kJoin).empty());
-}
-
-TEST(MessageTraceTest, CapacityBoundsRecording) {
-  MessageTrace trace{3};
-  for (int i = 0; i < 10; ++i) {
-    trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kData), i);
-  }
-  EXPECT_EQ(trace.records().size(), 3u);
-  EXPECT_TRUE(trace.truncated());
-  EXPECT_EQ(trace.dropped(), 7u);  // the exact overflow, not just a flag
-  trace.clear();
-  EXPECT_TRUE(trace.records().empty());
-  EXPECT_FALSE(trace.truncated());
-  EXPECT_EQ(trace.dropped(), 0u);
-}
-
-TEST(MessageTraceTest, DroppedStaysZeroBelowCapacity) {
-  MessageTrace trace{8};
-  for (int i = 0; i < 8; ++i) {
-    trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kTree), i);
-  }
-  EXPECT_FALSE(trace.truncated());
-  EXPECT_EQ(trace.dropped(), 0u);
-}
-
-TEST(MessageTraceTest, ClearResetsParallelByteVector) {
-  // Regression: clear() used to reset records_ but not the parallel bytes_
-  // vector, so post-clear byte histograms paired old sizes with new records.
-  MessageTrace trace;
-  trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kFusion), 1);
-  trace.clear();
-  const auto join = packet_of(net::PacketType::kJoin);
-  trace.on_transmit(edge(0, 1), join, 2);
-  const auto bytes = trace.bytes_histogram();
-  ASSERT_EQ(bytes.size(), 1u);
-  EXPECT_EQ(bytes.at(net::PacketType::kJoin), net::encoded_size(join));
-}
-
-TEST(MessageTraceTest, ToStringTruncatesOutput) {
-  MessageTrace trace;
-  for (int i = 0; i < 10; ++i) {
-    trace.on_transmit(edge(0, 1), packet_of(net::PacketType::kData), i);
-  }
-  const std::string dump = trace.to_string(4);
-  EXPECT_NE(dump.find("(6 more)"), std::string::npos);
-}
 
 TEST(RenderTreeTest, SimpleChain) {
   std::map<std::pair<NodeId, NodeId>, std::size_t> links;
