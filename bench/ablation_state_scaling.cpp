@@ -23,7 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +31,7 @@
 #include "harness/experiment.hpp"
 #include "harness/trial_pool.hpp"
 #include "metrics/json.hpp"
+#include "metrics/json_parse.hpp"
 #include "metrics/report.hpp"
 #include "metrics/tracer.hpp"
 #include "topo/random.hpp"
@@ -105,8 +106,41 @@ std::unique_ptr<Session> make_session(Protocol proto, std::size_t channels,
   return session;
 }
 
+/// The report's view of the observed cell (largest channel count, trial 0)
+/// at the end of its churn phase: every section of the report body but
+/// the phase profile, which is complete only once the whole sweep ran.
+struct ObservedBody {
+  metrics::JsonValue head;  ///< info, numbers, registry, series, trace
+  metrics::ConvergenceSummary convergence;
+};
+
+ObservedBody observe(Session& session, Protocol proto,
+                     std::size_t channels) {
+  metrics::RunReport report;
+  report.registry = session.registry();
+  report.sampler = session.sampler();
+  report.tracer = session.tracer();
+  report.info["protocol"] = std::string(to_string(proto));
+  report.info["topology"] = "random-50";
+  report.numbers["channels"] = static_cast<double>(channels);
+  report.numbers["sim.end_time"] = session.simulator().now();
+  std::ostringstream text;
+  metrics::JsonWriter jw{text, 0};
+  jw.begin_object();
+  report.write_body(jw);
+  jw.end_object();
+  ObservedBody body;
+  (void)metrics::parse_json(text.str(), body.head);
+  body.convergence = metrics::analyze_convergence(session.tracer()->spans());
+  return body;
+}
+
+/// Runs one grid slot. With `observed` set, the slot is the observed cell:
+/// telemetry and tracing ride along (changing no event the protocols see)
+/// and the report body is taken once churn ends, before the measurement
+/// window.
 CellResult run_cell(Protocol proto, std::size_t channels, std::size_t trial,
-                    const Workload& w) {
+                    const Workload& w, ObservedBody* observed) {
   // Per-trial profiler merged under the protocol label: phase *counts* are
   // pure simulation outputs, so the aggregate is byte-identical for every
   // HBH_JOBS setting (merge order commutes; only timings vary).
@@ -115,10 +149,15 @@ CellResult run_cell(Protocol proto, std::size_t channels, std::size_t trial,
   {
     const prof::ScopedProfiler install{profiler};
     auto session = make_session(proto, channels, trial, w);
+    if (observed != nullptr) {
+      session->enable_telemetry();
+      session->enable_tracing();
+    }
     {
       HBH_PHASE("churn");
       session->run_for(kHorizon);
     }
+    if (observed != nullptr) *observed = observe(*session, proto, channels);
     out.census = session->aggregate_census();
     const std::uint64_t before =
         session->network().counters().control_transmissions;
@@ -167,7 +206,8 @@ CellStats aggregate(std::size_t channels, const CellResult* results,
 void write_report(const std::string& path,
                   const std::vector<std::size_t>& channel_counts,
                   std::size_t trials, const Workload& w,
-                  const std::vector<std::vector<CellStats>>& sweep) {
+                  const std::vector<std::vector<CellStats>>& sweep,
+                  const std::vector<ObservedBody>& observed) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "error: cannot write HBH_REPORT=%s\n", path.c_str());
@@ -226,47 +266,25 @@ void write_report(const std::string& path,
   }
   jw.end_array();
 
-  // One instrumented deep-dive per protocol: the largest swept channel
-  // count, trial 0, telemetry on — registry counters (net.tx.* and
-  // net.tx_bytes.*), the per-class state gauges and the sampled time
-  // series all ride along.
+  // One instrumented run per protocol: the sweep's own largest channel
+  // count, trial 0 — registry counters (net.tx.* and net.tx_bytes.*), the
+  // per-class state gauges and the sampled time series as they stood when
+  // churn ended, then the sweep's phase profile.
   jw.key("runs");
   jw.begin_object();
-  for (const Protocol proto : protocols) {
-    prof::PhaseProfiler dive_profiler;
-    std::optional<prof::ScopedProfiler> dive_install{std::in_place,
-                                                     dive_profiler};
-    auto session = make_session(proto, channel_counts.back(), 0, w);
-    session->enable_telemetry();
-    session->enable_tracing();
-    {
-      HBH_PHASE("churn");
-      session->run_for(kHorizon);
-    }
-    // Merge the dive before snapshotting so the perf_profile section
-    // covers the sweep trials plus this instrumented run.
-    dive_install.reset();
-    prof::process_profile().merge(to_string(proto), dive_profiler);
+  for (std::size_t p = 0; p < protocols.size(); ++p) {
     const prof::PhaseMap profile =
-        prof::process_profile().snapshot(to_string(proto));
-
-    const metrics::ConvergenceSummary convergence =
-        metrics::analyze_convergence(session->tracer()->spans());
-    metrics::RunReport report;
-    report.profile = &profile;
-    report.registry = session->registry();
-    report.sampler = session->sampler();
-    report.tracer = session->tracer();
-    report.convergence = &convergence;
-    report.info["protocol"] = std::string(to_string(proto));
-    report.info["topology"] = "random-50";
-    report.numbers["channels"] =
-        static_cast<double>(channel_counts.back());
-    report.numbers["sim.end_time"] = session->simulator().now();
-
-    jw.key(to_string(proto));
+        prof::process_profile().snapshot(to_string(protocols[p]));
+    metrics::RunReport tail;
+    tail.profile = &profile;
+    tail.convergence = &observed[p].convergence;
+    jw.key(to_string(protocols[p]));
     jw.begin_object();
-    report.write_body(jw);
+    for (const auto& [key, value] : observed[p].head.object) {
+      jw.key(key);
+      metrics::write_json(jw, value);
+    }
+    tail.write_body(jw);
     jw.end_object();
   }
   jw.end_object();
@@ -308,11 +326,20 @@ int main() {
   const auto& protocols = harness::all_protocols();
   const std::size_t per_protocol = channel_counts.size() * trials;
   std::vector<CellResult> grid(protocols.size() * per_protocol);
+  // The report describes the largest channel count's trial 0, instrumented
+  // where the sweep runs it: one observed slot per protocol.
+  const std::string report = env_report_path();
+  std::vector<ObservedBody> observed(protocols.size());
+  const std::size_t observed_cell = (channel_counts.size() - 1) * trials;
   harness::TrialPool pool;
   pool.run(grid.size(), [&](std::size_t i) {
-    const Protocol proto = protocols[i / per_protocol];
+    const std::size_t p = i / per_protocol;
     const std::size_t cell = i % per_protocol;
-    grid[i] = run_cell(proto, channel_counts[cell / trials], cell % trials, w);
+    ObservedBody* body = !report.empty() && cell == observed_cell
+                             ? &observed[p]
+                             : nullptr;
+    grid[i] = run_cell(protocols[p], channel_counts[cell / trials],
+                       cell % trials, w, body);
   });
 
   std::vector<std::vector<CellStats>> sweep(protocols.size());
@@ -350,9 +377,8 @@ int main() {
       "rendezvous routers serving shared trees.\n",
       control_only_holds ? ", verified above" : " EXPECTED BUT VIOLATED");
 
-  const std::string report = env_report_path();
   if (!report.empty()) {
-    write_report(report, channel_counts, trials, w, sweep);
+    write_report(report, channel_counts, trials, w, sweep, observed);
   }
   harness::ArtifactPaths profile_only;
   profile_only.profile = env_prof_out();

@@ -297,4 +297,34 @@ bool parse_json_file(const std::string& path, JsonValue& out,
   return true;
 }
 
+void write_json(JsonWriter& w, const JsonValue& v) {
+  switch (v.kind) {
+    case JsonValue::Kind::kNull:
+      w.null();
+      break;
+    case JsonValue::Kind::kBool:
+      w.value(v.boolean);
+      break;
+    case JsonValue::Kind::kNumber:
+      w.value(v.number);
+      break;
+    case JsonValue::Kind::kString:
+      w.value(v.string);
+      break;
+    case JsonValue::Kind::kObject:
+      w.begin_object();
+      for (const auto& [key, child] : v.object) {
+        w.key(key);
+        write_json(w, child);
+      }
+      w.end_object();
+      break;
+    case JsonValue::Kind::kArray:
+      w.begin_array();
+      for (const JsonValue& child : v.array) write_json(w, child);
+      w.end_array();
+      break;
+  }
+}
+
 }  // namespace hbh::metrics

@@ -1,8 +1,11 @@
-// Minimal recursive-descent JSON parser for the perf tooling.
+// Minimal recursive-descent JSON parser, and the writer that puts a parsed
+// value back out.
 //
-// The simulator only ever *wrote* JSON (JsonWriter); the baseline
-// regression checker (tools/perf_compare) must also *read* the bench
-// artifacts and the committed bench/baselines/*.json, so this adds the
+// The simulator mostly only *writes* JSON (JsonWriter). Its readers are
+// tools/report_scrub (strips machine-dependent fields so two reports can
+// be compared byte-for-byte), ablation_state_scaling (holds its observed
+// cell's report sections from mid-run until the sweep's phase profile is
+// complete) and the tests that check written artifacts. So this is the
 // smallest DOM that covers them: objects, arrays, strings, numbers,
 // booleans, null, UTF-8 passed through verbatim, \uXXXX escapes decoded.
 // No third-party dependency, same as the writer.
@@ -12,6 +15,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "metrics/json.hpp"
 
 namespace hbh::metrics {
 
@@ -58,5 +63,10 @@ struct JsonValue {
 /// Reads and parses a file; false on I/O or parse failure.
 [[nodiscard]] bool parse_json_file(const std::string& path, JsonValue& out,
                                    std::string* error = nullptr);
+
+/// Writes `v` in document order. Numbers go through JsonWriter::value(double),
+/// so a value JsonWriter wrote (integers below 1e12, doubles at %.12g)
+/// comes back byte-identical.
+void write_json(JsonWriter& w, const JsonValue& v);
 
 }  // namespace hbh::metrics

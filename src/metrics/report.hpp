@@ -5,8 +5,8 @@
 // and byte counts among them), the StateSampler's time series, the
 // Tracer's span summary and convergence timelines — and serializes it to
 // JSON. Benches opt in with HBH_REPORT=path.json (see
-// docs/OBSERVABILITY.md for the schema), giving every future perf PR a
-// baseline artifact to diff against.
+// docs/OBSERVABILITY.md for the schema); after tools/report_scrub two
+// reports of the same simulation compare byte-for-byte.
 #pragma once
 
 #include <map>

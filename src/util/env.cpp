@@ -59,34 +59,7 @@ std::string env_report_path() { return env_str_or("HBH_REPORT", ""); }
 
 std::string env_trace_out() { return env_str_or("HBH_TRACE_OUT", ""); }
 
-std::string env_perf_out(std::string_view fallback) {
-  return env_str_or("HBH_PERF_OUT", fallback);
-}
-
 std::string env_prof_out() { return env_str_or("HBH_PROF_OUT", ""); }
-
-double env_perf_tolerance(double fallback) {
-  const double v = env_double_or("HBH_PERF_TOLERANCE", fallback);
-  return v > 0 ? v : fallback;
-}
-
-std::size_t env_dp_rounds(std::size_t fallback) {
-  const std::int64_t v =
-      env_int_or("HBH_DP_ROUNDS", static_cast<std::int64_t>(fallback));
-  return v > 0 ? static_cast<std::size_t>(v) : fallback;
-}
-
-std::size_t env_dp_warmup(std::size_t fallback) {
-  const std::int64_t v =
-      env_int_or("HBH_DP_WARMUP", static_cast<std::int64_t>(fallback));
-  return v >= 0 ? static_cast<std::size_t>(v) : fallback;
-}
-
-std::size_t env_dp_burst(std::size_t fallback) {
-  const std::int64_t v =
-      env_int_or("HBH_DP_BURST", static_cast<std::int64_t>(fallback));
-  return v > 0 ? static_cast<std::size_t>(v) : fallback;
-}
 
 std::string env_log_level() { return env_str_or("HBH_LOG_LEVEL", ""); }
 

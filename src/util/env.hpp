@@ -55,32 +55,10 @@ namespace hbh {
 /// observed cell's HBH trial (schema hbh.trace/v1); empty = no trace.
 [[nodiscard]] std::string env_trace_out();
 
-/// HBH_PERF_OUT — path for a perf bench's JSON artifact. Each bench passes
-/// its own default (perf_smoke: BENCH_perf_smoke.json, perf_dataplane:
-/// BENCH_perf_dataplane.json), so running several perf benches without the
-/// knob set never overwrites one artifact with another.
-[[nodiscard]] std::string env_perf_out(std::string_view fallback);
-
 /// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v3 phase-profile
 /// JSON of the whole process (docs/OBSERVABILITY.md "Phase profiling");
 /// empty = no profile file.
 [[nodiscard]] std::string env_prof_out();
-
-/// HBH_PERF_TOLERANCE — global multiplier applied to every per-metric
-/// noise threshold in tools/perf_compare (>1 loosens the regression gate
-/// on noisy machines; default 1).
-[[nodiscard]] double env_perf_tolerance(double fallback = 1.0);
-
-/// HBH_DP_ROUNDS / HBH_DP_WARMUP — measured and warmup data rounds of
-/// bench/perf_dataplane. Counts in BENCH_perf_dataplane.json depend on
-/// HBH_DP_ROUNDS, so baseline comparisons must use the recorded value.
-[[nodiscard]] std::size_t env_dp_rounds(std::size_t fallback);
-[[nodiscard]] std::size_t env_dp_warmup(std::size_t fallback);
-
-/// HBH_DP_BURST — data emissions per perf_dataplane round (burst size).
-/// Packet counts in BENCH_perf_dataplane.json scale with it, so baseline
-/// comparisons must use the recorded value.
-[[nodiscard]] std::size_t env_dp_burst(std::size_t fallback);
 
 /// HBH_LOG_LEVEL — trace|debug|info|warn|error; empty = keep default.
 [[nodiscard]] std::string env_log_level();

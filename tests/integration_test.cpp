@@ -7,10 +7,14 @@
 //   * PIM-SS never puts two copies of a packet on one link (RPF),
 //   * with symmetric costs, HBH == PIM-SS cost and delay exactly,
 //   * with asymmetric costs, HBH delay <= REUNITE delay (paired trials).
+// DataplaneWorkloadTest pins the exact counts of bench/perf_dataplane's
+// workload, so any change in what the simulation sends or schedules shows.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "dataplane_workload.hpp"
 #include "harness/experiment.hpp"
 #include "routing/unicast.hpp"
 #include "topo/builders.hpp"
@@ -233,6 +237,45 @@ TEST_P(Random50Properties, AllProtocolsDeliverOnRandomTopology) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Random50Properties,
                          ::testing::Values(101, 102, 103));
+
+// --- perf_dataplane's workload, counted exactly ---
+
+TEST(DataplaneWorkloadTest, CountsMatchThePinnedValues) {
+  // bench/perf_dataplane's defaults: ISP, 16 receivers, seed 20010827,
+  // 8 warmup + 64 measured rounds of 16-emission bursts. Every count is a
+  // pure simulation output, so it must replay exactly; a change that
+  // alters protocol behaviour, the event schedule or queue admission moves
+  // one of them. Re-pin only together with the change that moved it.
+  struct Pinned {
+    Protocol protocol;
+    bool queued;
+    std::uint64_t data, control, events, slots, admitted;
+  };
+  const Pinned pinned[] = {
+      {Protocol::kPimSm, false, 34912, 14058, 52202, 212, 0},
+      {Protocol::kPimSs, false, 34912, 17226, 55370, 214, 0},
+      {Protocol::kReunite, false, 42096, 15642, 61184, 237, 0},
+      {Protocol::kHbh, false, 34896, 45540, 83882, 310, 0},
+      {Protocol::kPimSm, true, 34920, 14058, 52258, 211, 17440},
+      {Protocol::kPimSs, true, 34920, 17226, 55426, 213, 17440},
+      {Protocol::kReunite, true, 42104, 15642, 61240, 235, 24624},
+      {Protocol::kHbh, true, 34912, 45540, 83928, 305, 17432},
+  };
+  for (const Pinned& want : pinned) {
+    const bench::DataplaneRun run =
+        bench::run_dataplane(want.protocol, 20010827, want.queued);
+    SCOPED_TRACE(std::string(to_string(want.protocol)) +
+                 (want.queued ? " queued" : " plain"));
+    EXPECT_EQ(run.data_packets, want.data);
+    EXPECT_EQ(run.control_packets, want.control);
+    EXPECT_EQ(run.sim_events, want.events);
+    EXPECT_EQ(run.queue_slots, want.slots);
+    EXPECT_EQ(run.queued_packets, want.admitted);
+    // The workload's queues never overflow; CongestionTest pins drops.
+    EXPECT_EQ(run.drops_queue_full, 0u);
+    EXPECT_EQ(run.drops_red, 0u);
+  }
+}
 
 }  // namespace
 }  // namespace hbh::harness

@@ -1,6 +1,6 @@
 // Performance observatory: phase profiler semantics (nesting, merge,
-// jobs-invariance, the HBH_NO_TELEMETRY kill switch) and the baseline
-// regression checker behind tools/perf_compare.
+// jobs-invariance, the HBH_NO_TELEMETRY kill switch) and the JSON parser
+// behind tools/report_scrub.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "metrics/baseline.hpp"
 #include "metrics/json.hpp"
 #include "metrics/json_parse.hpp"
 #include "metrics/profiler.hpp"
@@ -208,103 +207,6 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_FALSE(metrics::parse_json("[1, 2", v, &error));
   EXPECT_FALSE(metrics::parse_json("{} trailing", v, &error));
   EXPECT_FALSE(metrics::parse_json("", v, &error));
-}
-
-TEST(Baseline, FlattenUsesNameMembersForArrayElements) {
-  metrics::JsonValue v;
-  std::string error;
-  ASSERT_TRUE(metrics::parse_json(
-      R"({"micro": [{"name": "pump", "items_per_second": 42}],
-          "run": {"ok": true}})",
-      v, &error))
-      << error;
-  std::map<std::string, double> flat;
-  metrics::flatten_numbers(v, "", flat);
-  EXPECT_EQ(flat.at("micro.pump.items_per_second"), 42.0);
-  EXPECT_EQ(flat.at("run.ok"), 1.0);  // bools flatten to 0/1
-}
-
-metrics::Baseline make_baseline(const std::string& metrics_body) {
-  metrics::JsonValue doc;
-  std::string error;
-  const std::string text = R"({"schema": "hbh.perf_baseline/v1",
-                               "bench": "t", "metrics": {)" +
-                           metrics_body + "}}";
-  EXPECT_TRUE(metrics::parse_json(text, doc, &error)) << error;
-  metrics::Baseline b;
-  EXPECT_TRUE(metrics::parse_baseline(doc, b, &error)) << error;
-  return b;
-}
-
-metrics::JsonValue parse_current(const std::string& text) {
-  metrics::JsonValue v;
-  std::string error;
-  EXPECT_TRUE(metrics::parse_json(text, v, &error)) << error;
-  return v;
-}
-
-TEST(Baseline, RejectsWrongSchema) {
-  metrics::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(metrics::parse_json(
-      R"({"schema": "hbh.run_report/v1", "metrics": {}})", doc, &error));
-  metrics::Baseline b;
-  EXPECT_FALSE(metrics::parse_baseline(doc, b, &error));
-}
-
-TEST(Baseline, HigherDirectionFlagsOnlyDrops) {
-  const metrics::Baseline b = make_baseline(
-      R"("tput": {"value": 100, "noise": 0.2, "direction": "higher"})");
-  auto status = [&](double current, double tolerance = 1.0) {
-    const std::string doc = "{\"tput\": " + std::to_string(current) + "}";
-    return metrics::compare_to_baseline(b, parse_current(doc), tolerance)
-        .metrics.at(0)
-        .status;
-  };
-  EXPECT_EQ(status(95), metrics::MetricStatus::kPass);
-  EXPECT_EQ(status(500), metrics::MetricStatus::kPass);  // faster is fine
-  EXPECT_EQ(status(79), metrics::MetricStatus::kRegressed);
-  // --tolerance scales the allowed spread.
-  EXPECT_EQ(status(79, 2.0), metrics::MetricStatus::kPass);
-  EXPECT_EQ(status(95, 0.01), metrics::MetricStatus::kRegressed);
-}
-
-TEST(Baseline, BandDirectionFlagsBothSides) {
-  const metrics::Baseline b = make_baseline(
-      R"("pkts": {"value": 1000, "noise": 0.1, "direction": "band"})");
-  auto status = [&](double current) {
-    const std::string doc = "{\"pkts\": " + std::to_string(current) + "}";
-    return metrics::compare_to_baseline(b, parse_current(doc))
-        .metrics.at(0)
-        .status;
-  };
-  EXPECT_EQ(status(1000), metrics::MetricStatus::kPass);
-  EXPECT_EQ(status(1099), metrics::MetricStatus::kPass);
-  EXPECT_EQ(status(1200), metrics::MetricStatus::kRegressed);
-  EXPECT_EQ(status(800), metrics::MetricStatus::kRegressed);
-}
-
-TEST(Baseline, LowerDirectionFlagsOnlyGrowth) {
-  const metrics::Baseline b = make_baseline(
-      R"("rss": {"value": 1000, "noise": 0.5, "direction": "lower"})");
-  auto status = [&](double current) {
-    const std::string doc = "{\"rss\": " + std::to_string(current) + "}";
-    return metrics::compare_to_baseline(b, parse_current(doc))
-        .metrics.at(0)
-        .status;
-  };
-  EXPECT_EQ(status(10), metrics::MetricStatus::kPass);  // shrinking is fine
-  EXPECT_EQ(status(1400), metrics::MetricStatus::kPass);
-  EXPECT_EQ(status(1600), metrics::MetricStatus::kRegressed);
-}
-
-TEST(Baseline, MissingMetricFailsTheComparison) {
-  const metrics::Baseline b = make_baseline(
-      R"("gone": {"value": 1, "noise": 0.5, "direction": "band"})");
-  const metrics::CompareReport report =
-      metrics::compare_to_baseline(b, parse_current(R"({"other": 1})"));
-  EXPECT_EQ(report.missing(), 1u);
-  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

@@ -1,22 +1,22 @@
-// report_scrub — strips machine-dependent fields from a bench/report JSON
-// so two runs (e.g. two builds of the same simulation, or two HBH_JOBS
-// settings) can be compared byte-for-byte.
+// report_scrub — strips machine-dependent fields from a run report or
+// phase profile so two runs (e.g. two builds of the same simulation, or two
+// HBH_JOBS settings) can be compared byte-for-byte.
 //
 // Dropped members, at any nesting depth:
 //   * wall-clock and host-load fields: wall_seconds, wall_ns,
-//     packets_per_second, events_per_second, peak_rss_bytes,
-//     audit_wall_seconds
+//     peak_rss_bytes, audit_wall_seconds
 //   * allocator counters (allocs, alloc_bytes): they depend on the build
 //     and the allocator, not on what the simulation did
 //
-// Everything else — packet counts, event counts, queue pushes, drop
-// reasons, per-receiver delays, tree metrics — must match exactly.
+// Everything else — packet counts, phase counts, drop reasons,
+// per-receiver delays, tree metrics — must match exactly.
 //
 // Usage: report_scrub <in.json> <out.json>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "metrics/json.hpp"
 #include "metrics/json_parse.hpp"
@@ -28,10 +28,8 @@ using hbh::metrics::JsonWriter;
 
 bool scrubbed_key(std::string_view key) {
   static constexpr std::string_view kDropped[] = {
-      "wall_seconds",      "wall_ns",
-      "allocs",            "alloc_bytes",
-      "packets_per_second", "events_per_second",
-      "peak_rss_bytes",    "audit_wall_seconds",
+      "wall_seconds", "wall_ns",     "peak_rss_bytes",
+      "allocs",       "alloc_bytes", "audit_wall_seconds",
   };
   for (const std::string_view k : kDropped) {
     if (key == k) return true;
@@ -39,35 +37,11 @@ bool scrubbed_key(std::string_view key) {
   return false;
 }
 
-void write_scrubbed(JsonWriter& w, const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull:
-      w.null();
-      break;
-    case JsonValue::Kind::kBool:
-      w.value(v.boolean);
-      break;
-    case JsonValue::Kind::kNumber:
-      w.value(v.number);
-      break;
-    case JsonValue::Kind::kString:
-      w.value(v.string);
-      break;
-    case JsonValue::Kind::kObject:
-      w.begin_object();
-      for (const auto& [key, child] : v.object) {
-        if (scrubbed_key(key)) continue;
-        w.key(key);
-        write_scrubbed(w, child);
-      }
-      w.end_object();
-      break;
-    case JsonValue::Kind::kArray:
-      w.begin_array();
-      for (const JsonValue& child : v.array) write_scrubbed(w, child);
-      w.end_array();
-      break;
-  }
+void scrub(JsonValue& v) {
+  std::erase_if(v.object,
+                [](const auto& member) { return scrubbed_key(member.first); });
+  for (auto& member : v.object) scrub(member.second);
+  for (JsonValue& child : v.array) scrub(child);
 }
 
 }  // namespace
@@ -88,8 +62,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "report_scrub: cannot write %s\n", argv[2]);
     return 1;
   }
+  scrub(doc);
   JsonWriter w{out};
-  write_scrubbed(w, doc);
+  hbh::metrics::write_json(w, doc);
   out << '\n';
   if (!w.complete() || !out) {
     std::fprintf(stderr, "report_scrub: write failed for %s\n", argv[2]);
