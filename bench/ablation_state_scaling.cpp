@@ -78,9 +78,10 @@ struct Workload {
 
 /// Builds the paired-trial session: one network, `channels` channels all
 /// sourced at the scenario's source host, each with its own receiver set
-/// and churn script.
+/// and churn script. `observed` turns telemetry, tracing and audit on.
 std::unique_ptr<Session> make_session(Protocol proto, std::size_t channels,
-                                      std::size_t trial, const Workload& w) {
+                                      std::size_t trial, const Workload& w,
+                                      bool observed) {
   HBH_PHASE("trial_setup");
   Rng rng{cell_seed(w.base_seed, channels, trial)};
   // One fixed random graph per base seed (as the experiment driver does);
@@ -91,7 +92,11 @@ std::unique_ptr<Session> make_session(Protocol proto, std::size_t channels,
   const std::vector<NodeId> candidates = scenario.candidate_receivers();
   const NodeId source_host = scenario.source_host;
 
-  auto session = std::make_unique<Session>(std::move(scenario), proto);
+  auto session = std::make_unique<Session>(
+      std::move(scenario), proto,
+      harness::SessionConfig{.observe = {.telemetry = observed,
+                                         .tracing = observed,
+                                         .audit = observed}});
   std::vector<ChannelHandle> handles;
   handles.push_back(session->default_channel());
   for (std::size_t c = 1; c < channels; ++c) {
@@ -108,10 +113,12 @@ std::unique_ptr<Session> make_session(Protocol proto, std::size_t channels,
 
 /// The report's view of the observed cell (largest channel count, trial 0)
 /// at the end of its churn phase: every section of the report body but
-/// the phase profile, which is complete only once the whole sweep ran.
+/// the phase profile, which is complete only once the whole sweep ran;
+/// and its auditor's verdict once the measurement window closed.
 struct ObservedBody {
   metrics::JsonValue head;  ///< info, numbers, registry, series, trace
   metrics::ConvergenceSummary convergence;
+  metrics::Auditor auditor;  ///< a copy: the session ends with its run
 };
 
 ObservedBody observe(Session& session, Protocol proto,
@@ -136,9 +143,9 @@ ObservedBody observe(Session& session, Protocol proto,
 }
 
 /// Runs one grid slot. With `observed` set, the slot is the observed cell:
-/// telemetry and tracing ride along (changing no event the protocols see)
-/// and the report body is taken once churn ends, before the measurement
-/// window.
+/// telemetry, tracing and audit ride along (changing no event the
+/// protocols see), the report body is taken once churn ends, before the
+/// measurement window, and the audit verdict after it.
 CellResult run_cell(Protocol proto, std::size_t channels, std::size_t trial,
                     const Workload& w, ObservedBody* observed) {
   // Per-trial profiler merged under the protocol label: phase *counts* are
@@ -148,11 +155,7 @@ CellResult run_cell(Protocol proto, std::size_t channels, std::size_t trial,
   CellResult out;
   {
     const prof::ScopedProfiler install{profiler};
-    auto session = make_session(proto, channels, trial, w);
-    if (observed != nullptr) {
-      session->enable_telemetry();
-      session->enable_tracing();
-    }
+    auto session = make_session(proto, channels, trial, w, observed != nullptr);
     {
       HBH_PHASE("churn");
       session->run_for(kHorizon);
@@ -168,6 +171,10 @@ CellResult run_cell(Protocol proto, std::size_t channels, std::size_t trial,
     const std::uint64_t after =
         session->network().counters().control_transmissions;
     out.ctl_rate = static_cast<double>(after - before) / (kCtlWindow / 10.0);
+    if (observed != nullptr) {
+      session->audit_sweep();
+      observed->auditor = *session->auditor();
+    }
   }
   prof::process_profile().merge(to_string(proto), profiler);
   return out;
@@ -288,6 +295,12 @@ void write_report(const std::string& path,
     jw.end_object();
   }
   jw.end_object();
+
+  std::vector<metrics::AuditedRun> audited;
+  for (std::size_t p = 0; p < protocols.size(); ++p) {
+    audited.push_back({to_string(protocols[p]), &observed[p].auditor});
+  }
+  metrics::write_anomalies(jw, audited);
 
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;

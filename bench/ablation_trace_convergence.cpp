@@ -46,8 +46,7 @@ int main() {
     topo::randomize_costs(scenario.topo, rng);
     const auto receivers = rng.sample(scenario.candidate_receivers(), kGroup);
 
-    Session session{std::move(scenario), proto};
-    session.enable_tracing();
+    Session session{std::move(scenario), proto, {.observe = {.tracing = true}}};
     auto channel = session.default_channel();
 
     Time delay = 0.1;

@@ -51,21 +51,18 @@ foreach(gone "\"cpu_ns\"" "\"messages_dropped\"")
   endif()
 endforeach()
 
-# Reports produced by harness::write_artifacts always carry the
-# forwarding-plane auditor's verdict — zeros included, so "no anomalies"
-# is an assertion, not an absence. -DNO_ANOMALIES=1 opts out for benches
-# with a bespoke report writer (the state-scaling ablation).
-if(NOT NO_ANOMALIES)
-  foreach(needle
-      "\"anomalies\"" "hbh.anomalies/v1" "\"by_protocol\"" "\"strict\""
-      "\"loop\"" "\"duplicate-delivery\"" "\"black-hole\""
-      "\"state-misplacement\"" "\"soft-state-leak\"" "\"tree-drift\"")
-    string(FIND "${doc}" "${needle}" pos)
-    if(pos EQUAL -1)
-      message(FATAL_ERROR "report ${OUT} is missing anomaly needle ${needle}")
-    endif()
-  endforeach()
-endif()
+# Every report carries the forwarding-plane auditor's verdict (written by
+# metrics::write_anomalies) — zeros included, so "no anomalies" is an
+# assertion, not an absence.
+foreach(needle
+    "\"anomalies\"" "hbh.anomalies/v1" "\"by_protocol\"" "\"strict\""
+    "\"loop\"" "\"duplicate-delivery\"" "\"black-hole\""
+    "\"state-misplacement\"" "\"soft-state-leak\"" "\"tree-drift\"")
+  string(FIND "${doc}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "report ${OUT} is missing anomaly needle ${needle}")
+  endif()
+endforeach()
 
 if(CONGESTION)
   foreach(needle

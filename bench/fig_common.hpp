@@ -1,10 +1,12 @@
 // Shared driver for the figure-reproduction benches.
 //
-// Each fig*_ binary reproduces one figure of the paper's §4.2: it runs the
-// four protocols over the figure's group-size sweep and prints the series
-// the paper plots. Tuned via the HBH_* environment knobs — accessors in
-// util/env.hpp, authoritative table in README "Environment knobs"
-// (HBH_TRIALS defaults to 60 here; the paper uses 500).
+// Each fig*_ binary reproduces one topology's pair of figures from the
+// paper's §4.2, tree cost (Figure 7) and receiver delay (Figure 8), which
+// read the same trials: it runs the four protocols over the topology's
+// group-size sweep once and prints both series the paper plots. Tuned via
+// the HBH_* environment knobs — accessors in util/env.hpp, authoritative
+// table in README "Environment knobs" (HBH_TRIALS defaults to 60 on the
+// ISP topology and 25 on random-50; the paper uses 500).
 #pragma once
 
 #include <cstdio>
@@ -31,35 +33,50 @@ inline harness::ExperimentSpec spec_from_env(harness::TopoKind topology) {
   return spec;
 }
 
-inline int run_figure(const char* figure, const char* paper_caption,
-                      harness::TopoKind topology, const char* metric) {
+/// Runs `topology`'s sweep once and prints the two figures that read it,
+/// panel (a) on the ISP topology and (b) on random-50: Figure 7 (tree
+/// cost), then Figure 8 (receiver delay), each block exactly as it would
+/// read alone. Then come the CSV (HBH_CSV, both metrics) and the
+/// artifacts the HBH_* variables request.
+inline int run_figures(harness::TopoKind topology) {
   init_log_level_from_env();
   const harness::ExperimentSpec spec = spec_from_env(topology);
-  std::printf("=== %s — %s ===\n", figure, paper_caption);
-  // Deliberately no jobs= in the banner: stdout must be byte-identical
-  // across HBH_JOBS settings so CI can diff serial vs parallel runs.
-  std::printf("topology=%s trials=%zu seed=%llu (paper: 500 trials)\n\n",
-              std::string(to_string(topology)).c_str(), spec.trials,
-              static_cast<unsigned long long>(spec.base_seed));
   const harness::ArtifactPaths artifacts = harness::ArtifactPaths::from_env();
   harness::ObservedCell observed;
   const auto results =
       harness::run_all(spec, 0, artifacts.need_cell() ? &observed : nullptr);
-  std::printf("%s\n", harness::format_table(results, metric).c_str());
 
   std::size_t failures = 0;
   for (const auto& sweep : results) {
     for (const auto& cell : sweep.cells) failures += cell.delivery_failures;
   }
-  if (failures != 0) {
-    std::printf("note: %zu/%zu trials were measured before full soft-state "
-                "convergence\n",
-                failures, spec.trials * spec.group_sizes.size() * 4);
+  const char panel = topology == harness::TopoKind::kIsp ? 'a' : 'b';
+  for (const int figure : {7, 8}) {
+    if (figure == 8) std::printf("\n");
+    std::printf("=== Figure %d(%c) — %s, %s ===\n", figure, panel,
+                figure == 7 ? "average number of packet copies"
+                            : "receiver average delay",
+                panel == 'a' ? "ISP topology" : "50-node random topology");
+    // Deliberately no jobs= in the banner: stdout must be byte-identical
+    // across HBH_JOBS settings so CI can diff serial vs parallel runs.
+    std::printf("topology=%s trials=%zu seed=%llu (paper: 500 trials)\n\n",
+                std::string(to_string(topology)).c_str(), spec.trials,
+                static_cast<unsigned long long>(spec.base_seed));
+    std::printf("%s\n",
+                harness::format_table(results, figure == 7 ? "cost" : "delay")
+                    .c_str());
+    if (failures != 0) {
+      std::printf("note: %zu/%zu trials were measured before full soft-state "
+                  "convergence\n",
+                  failures, spec.trials * spec.group_sizes.size() * 4);
+    }
   }
   if (env_csv()) {
     std::printf("\n%s", harness::format_csv(results).c_str());
   }
-  return harness::write_artifacts(artifacts, spec, results, figure, observed)
+  const std::string name =
+      std::string("Figures 7(") + panel + "), 8(" + panel + ")";
+  return harness::write_artifacts(artifacts, spec, results, name, observed)
              ? 0
              : 1;
 }

@@ -291,8 +291,8 @@ void BM_HbhConvergenceTelemetry(benchmark::State& state) {
     auto scenario = topo::make_isp();
     topo::randomize_costs(scenario.topo, rng);
     const auto picked = rng.sample(scenario.candidate_receivers(), 16);
-    harness::Session session{std::move(scenario), harness::Protocol::kHbh};
-    session.enable_telemetry(/*sample_period=*/10.0);
+    harness::Session session{std::move(scenario), harness::Protocol::kHbh,
+                             {.observe = {.telemetry = true}}};
     state.ResumeTiming();
     Time delay = 0.1;
     for (const NodeId r : picked) {

@@ -139,7 +139,8 @@ int main(int argc, char** argv) {
   }
   session.run_for(opt->warmup);
   if (opt->fail) {
-    session.fail_link(NodeId{opt->fail->first}, NodeId{opt->fail->second});
+    session.set_link_down(NodeId{opt->fail->first},
+                          NodeId{opt->fail->second});
     session.run_for(opt->warmup / 2);
   }
   const harness::Measurement m = session.measure();

@@ -24,11 +24,11 @@ int main() {
   // Backbone: sh - n0 - n1 - n2(border); campus hosts c1..c4 on n2.
   net::Topology topo = topo::make_line(3);
   const NodeId sh = topo.add_node(net::NodeKind::kHost);
-  topo.add_duplex(NodeId{0}, sh, net::LinkAttrs{1, 1});
+  topo.add_duplex(NodeId{0}, sh, net::LinkSpec{});
   std::vector<NodeId> campus;
   for (int i = 0; i < 4; ++i) {
     const NodeId h = topo.add_node(net::NodeKind::kHost);
-    topo.add_duplex(NodeId{2}, h, net::LinkAttrs{1, 1});
+    topo.add_duplex(NodeId{2}, h, net::LinkSpec{});
     campus.push_back(h);
   }
 

@@ -20,9 +20,10 @@ int main() {
   net::Topology grid = topo::make_grid(4, 4);
   Rng rng{7};
   for (std::uint32_t i = 0; i < grid.link_count(); ++i) {
-    grid.set_attrs(LinkId{i},
-                   net::LinkAttrs{static_cast<double>(rng.uniform_int(1, 10)),
-                                  static_cast<double>(rng.uniform_int(1, 10))});
+    grid.set_spec(
+        LinkId{i},
+        net::LinkSpec{.cost = static_cast<double>(rng.uniform_int(1, 10)),
+                      .delay = static_cast<double>(rng.uniform_int(1, 10))});
   }
 
   struct NamedMetric {

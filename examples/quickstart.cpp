@@ -20,7 +20,8 @@ using namespace hbh;
 int main() {
   // A small ISP-ish ring-with-chords backbone: 6 routers, one host each.
   net::Topology backbone = topo::make_ring(6);
-  backbone.add_duplex(NodeId{0}, NodeId{3}, net::LinkAttrs{2, 2});
+  backbone.add_duplex(NodeId{0}, NodeId{3},
+                      net::LinkSpec{.cost = 2, .delay = 2});
   topo::Scenario scenario = topo::attach_hosts(
       std::move(backbone),
       {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}, NodeId{5}},

@@ -135,8 +135,17 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
         cell_routes = std::make_shared<routing::SpfTable>(
             scenario.topo, routing::cost_metric());
       }
+      // An observed run adds telemetry, tracing and audit (record mode
+      // unless HBH_AUDIT=strict), so the report's "anomalies" section is
+      // present — with zeros — on every clean run.
+      SessionConfig config = spec.session;
+      if (observed != nullptr) {
+        config.observe.telemetry = true;
+        config.observe.tracing = true;
+        config.observe.audit = true;
+      }
       session = std::make_unique<Session>(std::move(scenario), protocol,
-                                          spec.session, cell_routes);
+                                          std::move(config), cell_routes);
       // Staggered joins in randomized order (the sample above is already
       // shuffled), spaced just over a tree period apart: each join meets
       // the state the previous receivers built, as in an ongoing session.
@@ -148,15 +157,7 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
       }
       last_join = delay;
     }
-    if (observed != nullptr) {
-      session->enable_telemetry(spec.session.timers.tree_period);
-      session->enable_tracing();
-      // Record mode unless the session picked up HBH_AUDIT=strict, so the
-      // report's "anomalies" section is present — with zeros — on every
-      // clean run.
-      session->enable_audit();
-      if (customize) customize(*session);
-    }
+    if (observed != nullptr && customize) customize(*session);
     Measurement m;
     try {
       {
@@ -167,13 +168,7 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
         HBH_PHASE("measure");
         m = session->measure(spec.drain);
       }
-      if (observed != nullptr) {
-        const auto audit_start = std::chrono::steady_clock::now();
-        session->audit_sweep();
-        const std::chrono::duration<double> audit_wall =
-            std::chrono::steady_clock::now() - audit_start;
-        observed->audit_seconds = audit_wall.count();
-      }
+      if (observed != nullptr) session->audit_sweep();
     } catch (const std::exception&) {
       // HBH_AUDIT=strict aborts a run on its first anomaly, recorded
       // before the throw: an observed run keeps the abort for
@@ -472,54 +467,12 @@ bool write_run_report(const ExperimentSpec& spec,
   }
   w.end_object();
 
-  // Forwarding-plane invariant audit of the observed runs. A clean run
-  // reports all-zero counters; counters and events are deterministic at
-  // any HBH_JOBS, only audit_wall_seconds varies (report_scrub strips it).
-  {
-    std::uint64_t grand_total = 0;
-    bool strict = false;
-    double audit_wall_seconds = 0.0;
-    for (const ObservedRun& run : observed.runs) {
-      grand_total += run.session->auditor()->total();
-      strict = strict || run.session->auditor()->config().strict;
-      audit_wall_seconds += run.audit_seconds;
-    }
-    w.key("anomalies");
-    w.begin_object();
-    w.member("schema", "hbh.anomalies/v1");
-    w.member("strict", strict);
-    w.member("audit_wall_seconds", audit_wall_seconds);
-    w.member("total", grand_total);
-    w.key("by_protocol");
-    w.begin_object();
-    for (const ObservedRun& run : observed.runs) {
-      const metrics::Auditor& auditor = *run.session->auditor();
-      w.key(to_string(run.protocol));
-      w.begin_object();
-      w.member("total", auditor.total());
-      for (std::size_t k = 0; k < metrics::kAnomalyKindCount; ++k) {
-        const auto kind = static_cast<metrics::AnomalyKind>(k);
-        w.member(to_string(kind), auditor.count(kind));
-      }
-      w.key("events");
-      w.begin_array();
-      for (const metrics::AnomalyEvent& ev : auditor.events()) {
-        w.begin_object();
-        w.member("kind", to_string(ev.kind));
-        w.member("t", ev.at);
-        w.member("node", to_string(ev.node));
-        w.member("channel", ev.channel.to_string());
-        w.member("seq", static_cast<std::uint64_t>(ev.seq));
-        w.member("trace", ev.trace_id);
-        w.member("detail", ev.detail);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_object();
-    w.end_object();
+  // Forwarding-plane invariant audit of the observed runs.
+  std::vector<metrics::AuditedRun> audited;
+  for (const ObservedRun& run : observed.runs) {
+    audited.push_back({to_string(run.protocol), run.session->auditor()});
   }
+  metrics::write_anomalies(w, audited);
 
   if (extra) extra(w);
 

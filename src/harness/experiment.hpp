@@ -88,7 +88,6 @@ struct ObservedRun {
   Protocol protocol{};
   std::unique_ptr<Session> session;
   Measurement measurement;
-  double audit_seconds = 0;  ///< wall time of the closing audit_sweep
   /// A strict-audit abort (HBH_AUDIT=strict) caught mid-run, so the
   /// violating event still reaches the artifacts; write_artifacts
   /// rethrows it once they are written. `measurement` may then be empty.

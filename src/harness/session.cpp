@@ -108,9 +108,12 @@ Session::Session(topo::Scenario scenario, Protocol protocol,
   started_ = true;
   // HBH_AUDIT turns every session in the process into a self-checking
   // correctness probe (strict: the first violation throws).
+  ObserverSpec observe = config.observe;
   if (const std::string mode = env_audit(); !mode.empty()) {
-    enable_audit(mode == "strict");
+    observe.audit = true;
+    observe.strict = observe.strict || mode == "strict";
   }
+  install_observers(observe);
 }
 
 Session::~Session() {
@@ -119,28 +122,6 @@ Session::~Session() {
   if (active_probe_) net_->remove_tap(active_probe_.get());
   if (stats_tap_) net_->remove_tap(stats_tap_.get());
   if (auditor_) net_->remove_tap(auditor_.get());
-}
-
-metrics::Auditor& Session::enable_audit(bool strict) {
-  if (!auditor_) {
-    metrics::AuditorConfig config;
-    config.strict = strict;
-    config.tree_period = timers_.tree_period;
-    config.t1 = timers_.t1;
-    config.t2 = timers_.t2;
-    // Graft grace: staggered joins settle within a couple of periods; four
-    // leaves margin for interception/fusion chains. Starvation threshold:
-    // a copy older than t2 cannot still be in flight or queued anywhere.
-    config.blackhole_grace = 4 * timers_.tree_period;
-    config.blackhole_starvation = timers_.t2;
-    config.leak_slack = 2 * timers_.tree_period;
-    // REUNITE makes no at-most-once promise: its unicast-driven data plane
-    // duplicates packets and re-crosses links during transients (§2.3).
-    config.at_most_once = protocol_ != Protocol::kReunite;
-    auditor_ = std::make_unique<metrics::Auditor>(config);
-    net_->add_tap(auditor_.get());
-  }
-  return *auditor_;
 }
 
 net::AgentStats Session::aggregate_agent_stats() const {
@@ -164,16 +145,32 @@ net::AgentStats Session::aggregate_agent_stats() const {
   return total;
 }
 
-metrics::Tracer& Session::enable_tracing(std::size_t capacity) {
-  if (!tracer_) {
-    tracer_ = std::make_unique<metrics::Tracer>(sim_, capacity);
+void Session::install_observers(const ObserverSpec& spec) {
+  // The auditor's tap goes first, so a strict abort stops a packet's tap
+  // walk before the stats tap counts it.
+  if (spec.audit) {
+    metrics::AuditorConfig config;
+    config.strict = spec.strict;
+    config.tree_period = timers_.tree_period;
+    config.t1 = timers_.t1;
+    config.t2 = timers_.t2;
+    // Graft grace: staggered joins settle within a couple of periods; four
+    // leaves margin for interception/fusion chains. Starvation threshold:
+    // a copy older than t2 cannot still be in flight or queued anywhere.
+    config.blackhole_grace = 4 * timers_.tree_period;
+    config.blackhole_starvation = timers_.t2;
+    config.leak_slack = 2 * timers_.tree_period;
+    // REUNITE makes no at-most-once promise: its unicast-driven data plane
+    // duplicates packets and re-crosses links during transients (§2.3).
+    config.at_most_once = protocol_ != Protocol::kReunite;
+    auditor_ = std::make_unique<metrics::Auditor>(config);
+    net_->add_tap(auditor_.get());
+  }
+  if (spec.tracing) {
+    tracer_ = std::make_unique<metrics::Tracer>(sim_);
     net_->set_trace_hook(tracer_.get());
   }
-  return *tracer_;
-}
-
-metrics::Registry& Session::enable_telemetry(Time sample_period) {
-  if (registry_) return *registry_;
+  if (!spec.telemetry) return;
   registry_ = std::make_unique<metrics::Registry>();
   metrics::Registry& reg = *registry_;
 
@@ -281,11 +278,11 @@ metrics::Registry& Session::enable_telemetry(Time sample_period) {
     });
   }
 
-  sampler_ =
-      std::make_unique<metrics::StateSampler>(sim_, reg, sample_period);
+  sampler_ = std::make_unique<metrics::StateSampler>(sim_, reg,
+                                                     timers_.tree_period);
   sampler_->start();
-  return reg;
 }
+
 
 bool Session::is_unicast_only(NodeId n) const {
   for (const NodeId u : unicast_only_) {

@@ -50,11 +50,29 @@ enum class Protocol { kHbh, kReunite, kPimSm, kPimSs };
 /// All protocols, in the paper's plotting order.
 [[nodiscard]] const std::vector<Protocol>& all_protocols();
 
+/// The run-wide observers a Session installs at construction
+/// (docs/OBSERVABILITY.md). All off by default, and free on the packet
+/// path while off. HBH_AUDIT adds `audit` (and `strict` for
+/// HBH_AUDIT=strict) to every session's spec.
+struct ObserverSpec {
+  /// Fabric stats tap and protocol-state gauges (registry()), sampled once
+  /// per tree period (sampler()).
+  bool telemetry = false;
+  bool tracing = false;  ///< causal spans: a metrics::Tracer (tracer())
+  /// The forwarding-plane invariant auditor (auditor()), its thresholds
+  /// derived from the session's soft-state timers.
+  bool audit = false;
+  bool strict = false;  ///< with `audit`: the first violation throws
+};
+
 struct SessionConfig {
   mcast::McastConfig timers{};
   /// Multicast-incapable routers (unicast clouds): these get the default
   /// forwarding agent instead of a protocol agent.
   std::vector<NodeId> unicast_only{};
+  /// Observers installed right after the network starts, before any
+  /// caller-scheduled event.
+  ObserverSpec observe{};
 };
 
 /// Result of one measurement round (one probe packet).
@@ -298,9 +316,6 @@ class Session {
   /// Repairs a link downed by set_link_down and reconverges routing.
   void set_link_up(NodeId a, NodeId b);
 
-  /// Hard-fails the link (removed from routing; traffic routes around it).
-  void fail_link(NodeId a, NodeId b) { set_link_down(a, b); }
-
   /// Crashes the protocol process on `router`: its agent — MFT/MCT/PIM
   /// state, pacers, wave trackers, everything — is destroyed and replaced
   /// by the default unicast forwarder. The data plane keeps routing
@@ -354,42 +369,13 @@ class Session {
   /// source tables must come through here.
   [[nodiscard]] net::ProtocolAgent& source_agent(ChannelId id = 0) const;
 
-  /// Switches run-wide telemetry on: installs a fabric stats tap on the
-  /// network (per-type message and byte counters), binds protocol-state gauges (MFT/MCT
-  /// entry counts — total and per router class — event-queue depth,
-  /// membership, channel count, per-agent message and timer counters),
-  /// and arms a StateSampler that snapshots every gauge every
-  /// `sample_period` time units. Idempotent; telemetry stays off — and
-  /// costs nothing on the packet path — unless this is called.
-  metrics::Registry& enable_telemetry(Time sample_period = 10.0);
-
-  /// Switches causal tracing on: installs a metrics::Tracer as the
-  /// network's trace hook. Every subscribe/unsubscribe, tree round, data
-  /// emission, and fault event then opens a root span; the context rides
-  /// in packets hop by hop, so retransmissions, table mutations, drops,
-  /// and deliveries become causally-parented child spans. Span ids are
-  /// allocated in simulation-event order, so two identical runs produce
-  /// identical traces. Idempotent; free on the packet path unless called
-  /// (and fully compiled out under HBH_NO_TELEMETRY).
-  metrics::Tracer& enable_tracing(std::size_t capacity = 1u << 20);
-
-  /// Null until enable_tracing() is called.
+  /// Null unless SessionConfig::observe.tracing.
   [[nodiscard]] metrics::Tracer* tracer() noexcept { return tracer_.get(); }
   [[nodiscard]] const metrics::Tracer* tracer() const noexcept {
     return tracer_.get();
   }
 
-  /// Switches the forwarding-plane invariant auditor on: installs a
-  /// metrics::Auditor as a persistent packet tap (observing every wire
-  /// copy, drop, and delivery) and feeds it membership/emission/table
-  /// notifications from the harness. Detection
-  /// thresholds derive from this session's soft-state timers. `strict`
-  /// makes the first violation throw. Idempotent; also auto-enabled by
-  /// the HBH_AUDIT environment knob (docs/OBSERVABILITY.md). Free on the
-  /// packet path unless called, and compiled out under HBH_NO_TELEMETRY.
-  metrics::Auditor& enable_audit(bool strict = false);
-
-  /// Null until enable_audit() is called (or HBH_AUDIT is set).
+  /// Null unless SessionConfig::observe.audit (or HBH_AUDIT is set).
   [[nodiscard]] metrics::Auditor* auditor() noexcept { return auditor_.get(); }
   [[nodiscard]] const metrics::Auditor* auditor() const noexcept {
     return auditor_.get();
@@ -400,11 +386,11 @@ class Session {
   /// (MCT/MFT exclusivity), and black-hole finalization at the current
   /// virtual time. Pure observation — schedules no events and mutates
   /// nothing, so event streams are identical whether or not it runs.
-  /// No-op until enable_audit(). Call after a run settles (the report
+  /// No-op without an auditor. Call after a run settles (the report
   /// writer does) or at any instant a test wants the invariants checked.
   void audit_sweep();
 
-  /// Null until enable_telemetry() is called.
+  /// Null unless SessionConfig::observe.telemetry.
   [[nodiscard]] metrics::Registry* registry() noexcept {
     return registry_.get();
   }
@@ -440,6 +426,8 @@ class Session {
   };
 
   void install_agents(const SessionConfig& config);
+  /// Installs the observers `spec` names (constructor only).
+  void install_observers(const ObserverSpec& spec);
   [[nodiscard]] bool is_unicast_only(NodeId n) const;
   /// A freshly constructed protocol router agent for this session's
   /// protocol (shared by install_agents and restart_router).

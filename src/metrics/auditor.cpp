@@ -219,6 +219,7 @@ void Auditor::note_tree_cost(const net::Channel& channel,
 void Auditor::begin_sweep(Time now) {
   if constexpr (!kTelemetryCompiled) return;
   sweep_now_ = now;
+  sweep_start_ = std::chrono::steady_clock::now();
 }
 
 void Auditor::sweep_entry(NodeId router, const net::Channel& channel,
@@ -260,6 +261,9 @@ void Auditor::end_sweep() {
   for (auto& [channel, audit] : channels_) {
     check_blackholes(channel, audit, sweep_now_);
   }
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - sweep_start_;
+  sweep_seconds_ += wall.count();
 }
 
 void Auditor::append_ndjson(std::string& out, std::string_view protocol) const {

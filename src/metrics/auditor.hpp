@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -136,6 +137,8 @@ class Auditor : public net::PacketTap {
   void sweep_tables(NodeId router, const net::Channel& channel, bool live_mct,
                     bool live_mft);
   void end_sweep();  ///< finalizes black-hole checks at the sweep time
+  /// Wall time from begin_sweep to end_sweep, summed over every sweep.
+  [[nodiscard]] double sweep_seconds() const noexcept { return sweep_seconds_; }
 
   // --- results -----------------------------------------------------------
   [[nodiscard]] std::uint64_t count(AnomalyKind kind) const noexcept {
@@ -205,6 +208,8 @@ class Auditor : public net::PacketTap {
   std::set<std::pair<std::uint32_t, net::Channel>> leak_raised_;
   std::set<std::pair<std::uint32_t, net::Channel>> shape_raised_;
   Time sweep_now_ = 0;
+  std::chrono::steady_clock::time_point sweep_start_{};
+  double sweep_seconds_ = 0;
 };
 
 }  // namespace hbh::metrics

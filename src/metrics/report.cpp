@@ -144,4 +144,50 @@ bool RunReport::write_file(const std::string& path) const {
   return out.good();
 }
 
+void write_anomalies(JsonWriter& w, std::span<const AuditedRun> runs) {
+  std::uint64_t grand_total = 0;
+  bool strict = false;
+  double audit_wall_seconds = 0.0;
+  for (const AuditedRun& run : runs) {
+    grand_total += run.auditor->total();
+    strict = strict || run.auditor->config().strict;
+    audit_wall_seconds += run.auditor->sweep_seconds();
+  }
+  w.key("anomalies");
+  w.begin_object();
+  w.member("schema", "hbh.anomalies/v1");
+  w.member("strict", strict);
+  w.member("audit_wall_seconds", audit_wall_seconds);
+  w.member("total", grand_total);
+  w.key("by_protocol");
+  w.begin_object();
+  for (const AuditedRun& run : runs) {
+    const Auditor& auditor = *run.auditor;
+    w.key(run.label);
+    w.begin_object();
+    w.member("total", auditor.total());
+    for (std::size_t k = 0; k < kAnomalyKindCount; ++k) {
+      const auto kind = static_cast<AnomalyKind>(k);
+      w.member(to_string(kind), auditor.count(kind));
+    }
+    w.key("events");
+    w.begin_array();
+    for (const AnomalyEvent& ev : auditor.events()) {
+      w.begin_object();
+      w.member("kind", to_string(ev.kind));
+      w.member("t", ev.at);
+      w.member("node", to_string(ev.node));
+      w.member("channel", ev.channel.to_string());
+      w.member("seq", static_cast<std::uint64_t>(ev.seq));
+      w.member("trace", ev.trace_id);
+      w.member("detail", ev.detail);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_object();
+  w.end_object();
+}
+
 }  // namespace hbh::metrics

@@ -11,8 +11,10 @@
 
 #include <map>
 #include <ostream>
+#include <span>
 #include <string>
 
+#include "metrics/auditor.hpp"
 #include "metrics/json.hpp"
 #include "metrics/profiler.hpp"
 #include "metrics/registry.hpp"
@@ -49,5 +51,19 @@ struct RunReport {
   /// Writes to `path`; false if the file could not be created.
   [[nodiscard]] bool write_file(const std::string& path) const;
 };
+
+/// One audited run as the report's "anomalies" section lists it.
+struct AuditedRun {
+  std::string_view label;  ///< its key under "by_protocol"
+  const Auditor* auditor = nullptr;
+};
+
+/// Writes the "anomalies" member (schema hbh.anomalies/v1) into an open
+/// report object: the grand total, whether any auditor was strict, their
+/// summed sweep time, and per run its total, per-kind counts and retained
+/// events. A clean run reports all-zero counters. Counters and events are
+/// deterministic at any HBH_JOBS; only audit_wall_seconds varies
+/// (tools/report_scrub strips it).
+void write_anomalies(JsonWriter& w, std::span<const AuditedRun> runs);
 
 }  // namespace hbh::metrics

@@ -8,9 +8,7 @@
 //
 // Links are described by LinkSpec — a named, extensible aggregate covering
 // the routing metric, propagation delay, and the congestion model (capacity
-// plus a bounded egress queue, DESIGN.md "Link and queue model"). The
-// legacy positional LinkAttrs{cost, delay} remains as a thin shim that
-// converts to an uncapacitated LinkSpec, byte-identical to the old model.
+// plus a bounded egress queue, DESIGN.md "Link and queue model").
 #pragma once
 
 #include <cstddef>
@@ -87,20 +85,6 @@ struct LinkSpec {
   }
 };
 
-/// Deprecated positional link description, kept as a migration shim: every
-/// legacy `LinkAttrs{cost, delay}` call site converts implicitly to an
-/// uncapacitated LinkSpec with identical behavior. New code should use
-/// LinkSpec directly.
-struct LinkAttrs {
-  double cost = 1.0;  ///< unicast routing metric
-  Time delay = 1.0;   ///< propagation delay in time units
-
-  // NOLINTNEXTLINE(google-explicit-constructor): the shim's whole purpose
-  operator LinkSpec() const {
-    return LinkSpec{.cost = cost, .delay = delay};
-  }
-};
-
 class Topology {
  public:
   struct Edge {
@@ -129,10 +113,6 @@ class Topology {
 
   /// Replaces the full spec of an existing edge.
   void set_spec(LinkId link, LinkSpec spec);
-
-  /// Deprecated alias for set_spec (legacy name; LinkAttrs arguments
-  /// convert and reset the congestion fields to uncapacitated defaults).
-  void set_attrs(LinkId link, LinkSpec spec) { set_spec(link, spec); }
 
   /// Updates only cost and delay, preserving the edge's congestion fields
   /// (capacity, queue limit, AQM). Cost randomization and link-cost churn

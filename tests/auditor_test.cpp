@@ -34,9 +34,8 @@ std::unique_ptr<Session> clean_isp_session(Protocol p) {
   auto scenario = topo::make_isp();
   topo::randomize_costs(scenario.topo, rng);
   const auto receivers = rng.sample(scenario.candidate_receivers(), 8);
-  const SessionConfig config;
+  const SessionConfig config{.observe = {.audit = true}};
   auto session = std::make_unique<Session>(std::move(scenario), p, config);
-  session->enable_audit();
   Time delay = 0.1;
   for (const NodeId r : receivers) {
     session->subscribe(r, delay);
@@ -83,8 +82,8 @@ TEST(AuditorTruePositiveTest, InjectedDuplicationRaisesDuplicateDelivery) {
   // loop detector must stay silent).
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
-  Session session{scenario, Protocol::kHbh};
-  Auditor& auditor = session.enable_audit();
+  Session session{scenario, Protocol::kHbh, {.observe = {.audit = true}}};
+  Auditor& auditor = *session.auditor();
   session.subscribe(scenario.hosts[1]);
   session.subscribe(scenario.hosts[2]);
   session.run_for(120);
@@ -106,8 +105,8 @@ TEST(AuditorTruePositiveTest, InjectedDuplicationRaisesDuplicateDelivery) {
 TEST(AuditorTruePositiveTest, StrictModeAbortsOnFirstViolation) {
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
-  Session session{scenario, Protocol::kHbh};
-  session.enable_audit(/*strict=*/true);
+  Session session{scenario, Protocol::kHbh,
+                  {.observe = {.audit = true, .strict = true}}};
   session.subscribe(scenario.hosts[2]);
   session.run_for(120);
 
@@ -138,8 +137,8 @@ TEST(AuditorTruePositiveTest, BouncingRouterRaisesLoop) {
   // audit_sweep here — the bouncer is not an HbhRouter to enumerate.
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
-  Session session{scenario, Protocol::kHbh};
-  Auditor& auditor = session.enable_audit();
+  Session session{scenario, Protocol::kHbh, {.observe = {.audit = true}}};
+  Auditor& auditor = *session.auditor();
   session.subscribe(scenario.hosts[2]);
   session.run_for(120);
 
@@ -157,8 +156,8 @@ TEST(AuditorTruePositiveTest, CrashedPimRouterRaisesBlackHole) {
   Rng rng{31337};
   auto base = topo::make_isp();
   const auto receivers = rng.sample(base.candidate_receivers(), 8);
-  Session session{base, Protocol::kPimSm};
-  Auditor& auditor = session.enable_audit();
+  Session session{base, Protocol::kPimSm, {.observe = {.audit = true}}};
+  Auditor& auditor = *session.auditor();
   Time delay = 0.1;
   for (const NodeId r : receivers) {
     session.subscribe(r, delay);
@@ -208,8 +207,8 @@ TEST(AuditorTruePositiveTest, ForcedOrphanEntryRaisesSoftStateLeak) {
   // must flag it: nothing legitimate can be keeping it alive.
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
-  Session session{scenario, Protocol::kHbh};
-  Auditor& auditor = session.enable_audit();
+  Session session{scenario, Protocol::kHbh, {.observe = {.audit = true}}};
+  Auditor& auditor = *session.auditor();
   session.subscribe(scenario.hosts[1]);
   session.subscribe(scenario.hosts[2]);
   session.run_for(120);
@@ -248,8 +247,8 @@ TEST(AuditorTruePositiveTest, ForcedOrphanEntryRaisesSoftStateLeak) {
 TEST(AuditorTruePositiveTest, NdjsonCarriesTheSeededAnomaly) {
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
-  Session session{scenario, Protocol::kHbh};
-  Auditor& auditor = session.enable_audit();
+  Session session{scenario, Protocol::kHbh, {.observe = {.audit = true}}};
+  Auditor& auditor = *session.auditor();
   session.subscribe(scenario.hosts[2]);
   session.run_for(120);
   net::Impairment dup;

@@ -57,10 +57,10 @@ class HbhRules : public ::testing::Test {
     rh = topo.add_node(net::NodeKind::kHost);
     r2h = topo.add_node(net::NodeKind::kHost);
     r3h = topo.add_node(net::NodeKind::kHost);
-    topo.add_duplex(NodeId{0}, sh, net::LinkAttrs{1, 1});
-    topo.add_duplex(NodeId{2}, rh, net::LinkAttrs{1, 1});
-    topo.add_duplex(NodeId{2}, r2h, net::LinkAttrs{1, 1});
-    topo.add_duplex(NodeId{2}, r3h, net::LinkAttrs{1, 1});
+    topo.add_duplex(NodeId{0}, sh, net::LinkSpec{});
+    topo.add_duplex(NodeId{2}, rh, net::LinkSpec{});
+    topo.add_duplex(NodeId{2}, r2h, net::LinkSpec{});
+    topo.add_duplex(NodeId{2}, r3h, net::LinkSpec{});
     routes = std::make_unique<routing::UnicastRouting>(topo);
     net = std::make_unique<net::Network>(sim, topo, *routes);
     b = static_cast<HbhRouter*>(

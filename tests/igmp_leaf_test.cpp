@@ -37,10 +37,10 @@ class IgmpLeaf : public ::testing::Test {
   void SetUp() override {
     topo = topo::make_line(2);
     sh = topo.add_node(net::NodeKind::kHost);
-    topo.add_duplex(NodeId{0}, sh, net::LinkAttrs{1, 1});
+    topo.add_duplex(NodeId{0}, sh, net::LinkSpec{});
     for (int i = 0; i < 3; ++i) {
       const NodeId h = topo.add_node(net::NodeKind::kHost);
-      topo.add_duplex(NodeId{1}, h, net::LinkAttrs{1, 1});
+      topo.add_duplex(NodeId{1}, h, net::LinkSpec{});
       hosts.push_back(h);
     }
     routes = std::make_unique<routing::UnicastRouting>(topo);

@@ -170,11 +170,11 @@ TEST(LeafAggregationTest, BackboneCostInvariantToReceiversPerRouter) {
       net::Topology t = topo::make_line(4);
       // Source host on router 0; k receiver hosts on router 3.
       const NodeId src_host = t.add_node(net::NodeKind::kHost);
-      t.add_duplex(NodeId{0}, src_host, net::LinkAttrs{1, 1});
+      t.add_duplex(NodeId{0}, src_host, net::LinkSpec{});
       std::vector<NodeId> rx_hosts;
       for (std::size_t i = 0; i < k; ++i) {
         const NodeId h = t.add_node(net::NodeKind::kHost);
-        t.add_duplex(NodeId{3}, h, net::LinkAttrs{1, 1});
+        t.add_duplex(NodeId{3}, h, net::LinkSpec{});
         rx_hosts.push_back(h);
       }
       topo::Scenario scenario;

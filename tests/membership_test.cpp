@@ -39,7 +39,7 @@ struct Fixture {
 
   explicit Fixture(JoinStyle style = JoinStyle::kSourceJoin) {
     host = topo.add_node(net::NodeKind::kHost);
-    topo.add_duplex(NodeId{1}, host, net::LinkAttrs{1, 1});
+    topo.add_duplex(NodeId{1}, host, net::LinkSpec{});
     routes = std::make_unique<routing::UnicastRouting>(topo);
     net = std::make_unique<net::Network>(sim, topo, *routes);
     receiver = static_cast<ReceiverHost*>(&net->attach(

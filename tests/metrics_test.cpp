@@ -8,7 +8,7 @@ namespace hbh::metrics {
 namespace {
 
 net::Topology::Edge edge(std::uint32_t a, std::uint32_t b) {
-  return net::Topology::Edge{NodeId{a}, NodeId{b}, net::LinkAttrs{1, 1}};
+  return net::Topology::Edge{NodeId{a}, NodeId{b}, net::LinkSpec{}};
 }
 
 net::Packet data_packet(std::uint64_t probe, Time sent_at = 0) {

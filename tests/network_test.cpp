@@ -27,7 +27,7 @@ struct Fixture {
     for (std::size_t i = 0; i + 1 < n; ++i) {
       topo.add_duplex(NodeId{static_cast<std::uint32_t>(i)},
                       NodeId{static_cast<std::uint32_t>(i + 1)},
-                      LinkAttrs{1, 2});
+                      LinkSpec{.cost = 1, .delay = 2});
     }
     routes = std::make_unique<UnicastRouting>(topo);
     net = std::make_unique<Network>(sim, topo, *routes);

@@ -44,9 +44,9 @@ class PimRules : public ::testing::Test {
     sh = topo.add_node(net::NodeKind::kHost);
     rh = topo.add_node(net::NodeKind::kHost);
     r2h = topo.add_node(net::NodeKind::kHost);
-    topo.add_duplex(NodeId{1}, sh, net::LinkAttrs{1, 1});
-    topo.add_duplex(NodeId{2}, rh, net::LinkAttrs{1, 1});
-    topo.add_duplex(NodeId{3}, r2h, net::LinkAttrs{1, 1});
+    topo.add_duplex(NodeId{1}, sh, net::LinkSpec{});
+    topo.add_duplex(NodeId{2}, rh, net::LinkSpec{});
+    topo.add_duplex(NodeId{3}, r2h, net::LinkSpec{});
     routes = std::make_unique<routing::UnicastRouting>(topo);
     net = std::make_unique<net::Network>(sim, topo, *routes);
     for (std::uint32_t i = 0; i < 4; ++i) {

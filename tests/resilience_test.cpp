@@ -64,7 +64,7 @@ TEST(LinkFailureTest, HbhReanchorsAfterFailure) {
 
   // Fail a link on the active path; routing reconverges instantly, the
   // multicast tree within a few soft-state periods.
-  session.fail_link(NodeId{1}, NodeId{2});
+  session.set_link_down(NodeId{1}, NodeId{2});
   session.run_for(200);
   const Measurement after = session.measure();
   EXPECT_TRUE(after.delivered_exactly_once());
@@ -101,7 +101,7 @@ TEST(LinkFailureTest, AllProtocolsSurviveFailureOnIsp) {
       }
     }
     if (!a.valid()) continue;  // tree may be access-links only (small group)
-    session.fail_link(a, b);
+    session.set_link_down(a, b);
     session.run_for(500);
     const Measurement after = session.measure();
     if (p == Protocol::kReunite && !after.delivered_exactly_once()) {

@@ -13,7 +13,7 @@
 namespace hbh::routing {
 namespace {
 
-using net::LinkAttrs;
+using net::LinkSpec;
 using net::Topology;
 
 // A 4-node diamond:   0 --1-- 1 --1-- 3
@@ -21,10 +21,10 @@ using net::Topology;
 Topology diamond() {
   Topology t;
   for (int i = 0; i < 4; ++i) t.add_node();
-  t.add_duplex(NodeId{0}, NodeId{1}, LinkAttrs{1, 1});
-  t.add_duplex(NodeId{1}, NodeId{3}, LinkAttrs{1, 1});
-  t.add_duplex(NodeId{0}, NodeId{2}, LinkAttrs{5, 5});
-  t.add_duplex(NodeId{2}, NodeId{3}, LinkAttrs{1, 1});
+  t.add_duplex(NodeId{0}, NodeId{1}, LinkSpec{});
+  t.add_duplex(NodeId{1}, NodeId{3}, LinkSpec{});
+  t.add_duplex(NodeId{0}, NodeId{2}, LinkSpec{.cost = 5, .delay = 5});
+  t.add_duplex(NodeId{2}, NodeId{3}, LinkSpec{});
   return t;
 }
 
@@ -67,7 +67,7 @@ TEST(DijkstraTest, RespectsEdgeDirection) {
   Topology t;
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
-  t.add_link(a, b, LinkAttrs{1, 1});
+  t.add_link(a, b, LinkSpec{});
   EXPECT_TRUE(dijkstra(t, a).reachable(b));
   EXPECT_FALSE(dijkstra(t, b).reachable(a));
 }
@@ -76,9 +76,9 @@ TEST(DijkstraTest, DelayAccumulatesAlongChosenPath) {
   Topology t;
   for (int i = 0; i < 3; ++i) t.add_node();
   // cost favors 0->1->2; delays differ from costs.
-  t.add_link(NodeId{0}, NodeId{1}, LinkAttrs{1, 10});
-  t.add_link(NodeId{1}, NodeId{2}, LinkAttrs{1, 20});
-  t.add_link(NodeId{0}, NodeId{2}, LinkAttrs{5, 1});
+  t.add_link(NodeId{0}, NodeId{1}, LinkSpec{.cost = 1, .delay = 10});
+  t.add_link(NodeId{1}, NodeId{2}, LinkSpec{.cost = 1, .delay = 20});
+  t.add_link(NodeId{0}, NodeId{2}, LinkSpec{.cost = 5, .delay = 1});
   const SpfResult spf = dijkstra(t, NodeId{0});
   EXPECT_DOUBLE_EQ(spf.dist[2], 2.0);
   EXPECT_DOUBLE_EQ(spf.delay[2], 30.0);  // delay of the *cost-chosen* path
@@ -87,9 +87,9 @@ TEST(DijkstraTest, DelayAccumulatesAlongChosenPath) {
 TEST(DijkstraTest, CustomMetricChangesRoutes) {
   Topology t;
   for (int i = 0; i < 3; ++i) t.add_node();
-  t.add_link(NodeId{0}, NodeId{1}, LinkAttrs{1, 10});
-  t.add_link(NodeId{1}, NodeId{2}, LinkAttrs{1, 20});
-  t.add_link(NodeId{0}, NodeId{2}, LinkAttrs{5, 1});
+  t.add_link(NodeId{0}, NodeId{1}, LinkSpec{.cost = 1, .delay = 10});
+  t.add_link(NodeId{1}, NodeId{2}, LinkSpec{.cost = 1, .delay = 20});
+  t.add_link(NodeId{0}, NodeId{2}, LinkSpec{.cost = 5, .delay = 1});
   const SpfResult by_delay = dijkstra(t, NodeId{0}, delay_metric());
   EXPECT_EQ(by_delay.first_link[2], link(t, 0, 2));  // direct link wins on delay
   EXPECT_DOUBLE_EQ(by_delay.delay[2], 1.0);
@@ -98,10 +98,10 @@ TEST(DijkstraTest, CustomMetricChangesRoutes) {
 TEST(DijkstraTest, DeterministicOnEqualCostPaths) {
   Topology t;
   for (int i = 0; i < 4; ++i) t.add_node();
-  t.add_duplex(NodeId{0}, NodeId{1}, LinkAttrs{1, 1});
-  t.add_duplex(NodeId{0}, NodeId{2}, LinkAttrs{1, 1});
-  t.add_duplex(NodeId{1}, NodeId{3}, LinkAttrs{1, 1});
-  t.add_duplex(NodeId{2}, NodeId{3}, LinkAttrs{1, 1});
+  t.add_duplex(NodeId{0}, NodeId{1}, LinkSpec{});
+  t.add_duplex(NodeId{0}, NodeId{2}, LinkSpec{});
+  t.add_duplex(NodeId{1}, NodeId{3}, LinkSpec{});
+  t.add_duplex(NodeId{2}, NodeId{3}, LinkSpec{});
   const SpfResult a = dijkstra(t, NodeId{0});
   const SpfResult b = dijkstra(t, NodeId{0});
   EXPECT_EQ(a.first_link[3], b.first_link[3]);
@@ -153,9 +153,10 @@ TEST(UnicastRoutingTest, AsymmetricCostsYieldAsymmetricRoutes) {
   // 0->1 direct is cheap, 1->0 direct is expensive so 1 routes via 2.
   Topology t;
   for (int i = 0; i < 3; ++i) t.add_node();
-  t.add_duplex(NodeId{0}, NodeId{1}, LinkAttrs{1, 1}, LinkAttrs{10, 10});
-  t.add_duplex(NodeId{1}, NodeId{2}, LinkAttrs{2, 2}, LinkAttrs{2, 2});
-  t.add_duplex(NodeId{2}, NodeId{0}, LinkAttrs{2, 2}, LinkAttrs{2, 2});
+  t.add_duplex(NodeId{0}, NodeId{1}, LinkSpec{},
+               LinkSpec{.cost = 10, .delay = 10});
+  t.add_duplex(NodeId{1}, NodeId{2}, LinkSpec{.cost = 2, .delay = 2});
+  t.add_duplex(NodeId{2}, NodeId{0}, LinkSpec{.cost = 2, .delay = 2});
   const UnicastRouting routes{t};
   const auto fwd = routes.path(NodeId{0}, NodeId{1});
   const auto back = routes.path(NodeId{1}, NodeId{0});
@@ -293,9 +294,10 @@ TEST(AsymmetryTest, SymmetricTopologyHasNoAsymmetry) {
 TEST(AsymmetryTest, DetectsAsymmetricPairs) {
   Topology t;
   for (int i = 0; i < 3; ++i) t.add_node();
-  t.add_duplex(NodeId{0}, NodeId{1}, LinkAttrs{1, 1}, LinkAttrs{10, 10});
-  t.add_duplex(NodeId{1}, NodeId{2}, LinkAttrs{2, 2});
-  t.add_duplex(NodeId{2}, NodeId{0}, LinkAttrs{2, 2});
+  t.add_duplex(NodeId{0}, NodeId{1}, LinkSpec{},
+               LinkSpec{.cost = 10, .delay = 10});
+  t.add_duplex(NodeId{1}, NodeId{2}, LinkSpec{.cost = 2, .delay = 2});
+  t.add_duplex(NodeId{2}, NodeId{0}, LinkSpec{.cost = 2, .delay = 2});
   const UnicastRouting routes{t};
   const auto report = measure_asymmetry(routes);
   EXPECT_GT(report.asymmetric_pairs, 0u);
@@ -308,12 +310,15 @@ TEST(AsymmetryTest, ParentChainCheckMatchesPathOracle) {
   // ordered pair must equal the definitional path-vector comparison.
   Topology t;
   for (int i = 0; i < 5; ++i) t.add_node();
-  t.add_duplex(NodeId{0}, NodeId{1}, LinkAttrs{1, 1}, LinkAttrs{10, 10});
-  t.add_duplex(NodeId{1}, NodeId{2}, LinkAttrs{2, 2});
-  t.add_duplex(NodeId{2}, NodeId{0}, LinkAttrs{2, 2});
-  t.add_duplex(NodeId{2}, NodeId{3}, LinkAttrs{1, 1}, LinkAttrs{7, 7});
-  t.add_duplex(NodeId{3}, NodeId{4}, LinkAttrs{1, 1});
-  t.add_duplex(NodeId{4}, NodeId{0}, LinkAttrs{3, 3}, LinkAttrs{1, 1});
+  t.add_duplex(NodeId{0}, NodeId{1}, LinkSpec{},
+               LinkSpec{.cost = 10, .delay = 10});
+  t.add_duplex(NodeId{1}, NodeId{2}, LinkSpec{.cost = 2, .delay = 2});
+  t.add_duplex(NodeId{2}, NodeId{0}, LinkSpec{.cost = 2, .delay = 2});
+  t.add_duplex(NodeId{2}, NodeId{3}, LinkSpec{},
+               LinkSpec{.cost = 7, .delay = 7});
+  t.add_duplex(NodeId{3}, NodeId{4}, LinkSpec{});
+  t.add_duplex(NodeId{4}, NodeId{0}, LinkSpec{.cost = 3, .delay = 3},
+               LinkSpec{});
   const UnicastRouting routes{t};
 
   std::size_t oracle_asymmetric = 0;

@@ -54,8 +54,8 @@ struct Fixture {
   Fixture() {
     sh = topo.add_node(net::NodeKind::kHost);
     rh = topo.add_node(net::NodeKind::kHost);
-    topo.add_duplex(NodeId{0}, sh, net::LinkAttrs{1, 1});
-    topo.add_duplex(NodeId{1}, rh, net::LinkAttrs{1, 1});
+    topo.add_duplex(NodeId{0}, sh, net::LinkSpec{});
+    topo.add_duplex(NodeId{1}, rh, net::LinkSpec{});
     routes = std::make_unique<routing::UnicastRouting>(topo);
     net = std::make_unique<net::Network>(sim, topo, *routes);
     net->add_tap(&tap);

@@ -136,7 +136,7 @@ bool json_valid(std::string_view text) {
 }
 
 net::Topology::Edge edge(std::uint32_t a, std::uint32_t b) {
-  return net::Topology::Edge{NodeId{a}, NodeId{b}, net::LinkAttrs{1, 1}};
+  return net::Topology::Edge{NodeId{a}, NodeId{b}, net::LinkSpec{}};
 }
 
 net::Packet packet_of(net::PacketType type) {
@@ -346,7 +346,8 @@ class DropCounterTest : public ::testing::Test {
   DropCounterTest() {
     for (int i = 0; i < 4; ++i) topo_.add_node();
     for (std::uint32_t i = 0; i + 1 < 4; ++i) {
-      topo_.add_duplex(NodeId{i}, NodeId{i + 1}, net::LinkAttrs{1, 2});
+      topo_.add_duplex(NodeId{i}, NodeId{i + 1},
+                       net::LinkSpec{.cost = 1, .delay = 2});
     }
     routes_ = std::make_unique<routing::UnicastRouting>(topo_);
     net_ = std::make_unique<net::Network>(sim_, topo_, *routes_);
@@ -487,9 +488,10 @@ class SessionTelemetryTest : public ::testing::Test {
     auto scenario = topo::make_isp();
     topo::randomize_costs(scenario.topo, rng);
     receivers_ = rng.sample(scenario.candidate_receivers(), 4);
-    session_ = std::make_unique<harness::Session>(std::move(scenario),
-                                                  harness::Protocol::kHbh);
-    registry_ = &session_->enable_telemetry(/*sample_period=*/10.0);
+    session_ = std::make_unique<harness::Session>(
+        std::move(scenario), harness::Protocol::kHbh,
+        harness::SessionConfig{.observe = {.telemetry = true}});
+    registry_ = session_->registry();
     Time delay = 0.1;
     for (const NodeId r : receivers_) {
       session_->subscribe(r, delay);
@@ -536,8 +538,29 @@ TEST_F(SessionTelemetryTest, SamplerRecordsStateSeries) {
   EXPECT_GT(s.v.back(), 0.0);         // converged tree holds MFT entries
 }
 
-TEST_F(SessionTelemetryTest, EnableTelemetryIsIdempotent) {
-  EXPECT_EQ(&session_->enable_telemetry(), registry_);
+TEST(SessionObserverTest, SpecInstallsExactlyTheNamedObservers) {
+  const auto scenario = topo::attach_hosts(
+      topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
+  const harness::ObserverSpec alone[] = {
+      {.telemetry = true}, {.tracing = true}, {.audit = true}};
+  for (const harness::ObserverSpec& spec : alone) {
+    harness::Session session{scenario, harness::Protocol::kHbh,
+                             {.observe = spec}};
+    EXPECT_EQ(session.registry() != nullptr, spec.telemetry);
+    EXPECT_EQ(session.sampler() != nullptr, spec.telemetry);
+    EXPECT_EQ(session.tracer() != nullptr, spec.tracing);
+    EXPECT_EQ(session.auditor() != nullptr, spec.audit);
+  }
+
+  // HBH_AUDIT folds into every session's spec: strict mode audits a
+  // session whose own spec leaves the auditor off.
+  setenv("HBH_AUDIT", "strict", 1);
+  const harness::Session audited{scenario, harness::Protocol::kHbh,
+                                 {.observe = {.telemetry = true}}};
+  unsetenv("HBH_AUDIT");
+  ASSERT_NE(audited.auditor(), nullptr);
+  EXPECT_TRUE(audited.auditor()->config().strict);
+  EXPECT_EQ(audited.tracer(), nullptr);
 }
 
 TEST_F(SessionTelemetryTest, RunReportIsSchemaValidJson) {

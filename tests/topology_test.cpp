@@ -11,9 +11,9 @@ Topology triangle() {
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
   const NodeId c = t.add_node();
-  t.add_duplex(a, b, LinkAttrs{1, 1});
-  t.add_duplex(b, c, LinkAttrs{2, 2});
-  t.add_duplex(c, a, LinkAttrs{3, 3});
+  t.add_duplex(a, b, LinkSpec{});
+  t.add_duplex(b, c, LinkSpec{.cost = 2, .delay = 2});
+  t.add_duplex(c, a, LinkSpec{.cost = 3, .delay = 3});
   return t;
 }
 
@@ -30,7 +30,8 @@ TEST(TopologyTest, DirectedLinkAttributesAreIndependent) {
   Topology t;
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
-  t.add_duplex(a, b, LinkAttrs{3, 3}, LinkAttrs{7, 7});
+  t.add_duplex(a, b, LinkSpec{.cost = 3, .delay = 3},
+               LinkSpec{.cost = 7, .delay = 7});
   const auto ab = t.find_link(a, b);
   const auto ba = t.find_link(b, a);
   ASSERT_TRUE(ab && ba);
@@ -42,7 +43,7 @@ TEST(TopologyTest, FindLinkIsDirectional) {
   Topology t;
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
-  t.add_link(a, b, LinkAttrs{1, 1});
+  t.add_link(a, b, LinkSpec{});
   EXPECT_TRUE(t.find_link(a, b).has_value());
   EXPECT_FALSE(t.find_link(b, a).has_value());
 }
@@ -52,16 +53,16 @@ TEST(TopologyTest, ReverseNamesTheOppositeDirection) {
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
   const NodeId c = t.add_node();
-  t.add_duplex(a, b, LinkAttrs{1, 1});
+  t.add_duplex(a, b, LinkSpec{});
   const LinkId ab = *t.find_link(a, b);
   const LinkId ba = *t.find_link(b, a);
   EXPECT_EQ(t.reverse(ab), ba);
   EXPECT_EQ(t.reverse(ba), ab);
 
   // A one-way edge has no reverse until its opposite is added.
-  const LinkId bc = t.add_link(b, c, LinkAttrs{1, 1});
+  const LinkId bc = t.add_link(b, c, LinkSpec{});
   EXPECT_EQ(t.reverse(bc), kNoLink);
-  const LinkId cb = t.add_link(c, b, LinkAttrs{2, 2});
+  const LinkId cb = t.add_link(c, b, LinkSpec{.cost = 2, .delay = 2});
   EXPECT_EQ(t.reverse(bc), cb);
   EXPECT_EQ(t.reverse(cb), bc);
 }
@@ -73,12 +74,12 @@ TEST(TopologyTest, OutLinksEnumeratesNeighbors) {
   EXPECT_EQ(t.link_count(), 6u);  // 3 duplex links = 6 directed edges
 }
 
-TEST(TopologyTest, SetAttrsReplaces) {
+TEST(TopologyTest, SetSpecReplaces) {
   Topology t;
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
-  const LinkId l = t.add_link(a, b, LinkAttrs{1, 1});
-  t.set_attrs(l, LinkAttrs{9, 4});
+  const LinkId l = t.add_link(a, b, LinkSpec{});
+  t.set_spec(l, LinkSpec{.cost = 9, .delay = 4});
   EXPECT_DOUBLE_EQ(t.edge(l).attrs.cost, 9.0);
   EXPECT_DOUBLE_EQ(t.edge(l).attrs.delay, 4.0);
 }
@@ -100,8 +101,8 @@ TEST(TopologyTest, AverageRouterDegreeExcludesHostLinksByDefault) {
   const NodeId r0 = t.add_node();
   const NodeId r1 = t.add_node();
   const NodeId h = t.add_node(NodeKind::kHost);
-  t.add_duplex(r0, r1, LinkAttrs{1, 1});
-  t.add_duplex(r0, h, LinkAttrs{1, 1});
+  t.add_duplex(r0, r1, LinkSpec{});
+  t.add_duplex(r0, h, LinkSpec{});
   EXPECT_DOUBLE_EQ(t.average_router_degree(), 1.0);
   EXPECT_DOUBLE_EQ(t.average_router_degree(/*count_host_links=*/true), 1.5);
 }
@@ -113,7 +114,7 @@ TEST(TopologyTest, StronglyConnectedDetection) {
   Topology oneway;
   const NodeId a = oneway.add_node();
   const NodeId b = oneway.add_node();
-  oneway.add_link(a, b, LinkAttrs{1, 1});
+  oneway.add_link(a, b, LinkSpec{});
   EXPECT_FALSE(oneway.strongly_connected());
 }
 
@@ -128,7 +129,7 @@ TEST(TopologyTest, DisconnectedComponentsDetected) {
   const NodeId a = t.add_node();
   const NodeId b = t.add_node();
   t.add_node();  // isolated
-  t.add_duplex(a, b, LinkAttrs{1, 1});
+  t.add_duplex(a, b, LinkSpec{});
   EXPECT_FALSE(t.strongly_connected());
 }
 

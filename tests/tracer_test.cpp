@@ -32,8 +32,8 @@ topo::Scenario line_scenario() {
 }
 
 struct TracedRun {
-  explicit TracedRun(Protocol proto) : session{line_scenario(), proto} {
-    session.enable_tracing();
+  explicit TracedRun(Protocol proto)
+      : session{line_scenario(), proto, {.observe = {.tracing = true}}} {
     receiver = session.scenario().hosts.back();
   }
 
