@@ -6,6 +6,8 @@
 // simulator itself, not the paper's results.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <optional>
 
 #include "harness/experiment.hpp"
@@ -38,27 +40,50 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000);
 
-// The shape the simulator actually sees: a few hundred pending events
-// (the perfbench workloads average 135–658), each pop followed by a
-// push a small integer delay plus jitter past the popped time, so pushes
-// land in the middle of the heap and many share a timestamp's integer
-// part. Unlike the batch push-then-drain above, the heap never shrinks.
+// The shape the simulator actually sees (fig7b averages 133 pending
+// events on 18 distinct times): each fired event pushes one more an
+// integer link cost of 1–10 past its own time, keeping its fractional
+// join phase except on 2% of pushes, which redraw it (0.5 one time in
+// eight). Pending times then sit on about 18 distinct values, as in the
+// sweep. The two instantiations push the same schedule as typed records
+// (the fabric's arrivals, timer firings) and as closures (harness
+// callbacks), and fire every event.
+struct Typed {
+  static sim::EventId push(sim::EventQueue& q, Time when, std::uint32_t* hits) {
+    return q.push(when, sim::Action{[](void* obj, std::uint32_t arg) {
+                                      *static_cast<std::uint32_t*>(obj) += arg;
+                                    },
+                                    hits, 1});
+  }
+};
+struct Closure {
+  static sim::EventId push(sim::EventQueue& q, Time when, std::uint32_t* hits) {
+    return q.push(when, [hits, arg = std::uint32_t{1}] { *hits += arg; });
+  }
+};
+
+template <class Record>
 void BM_EventQueueSteadyState(benchmark::State& state) {
-  const auto pending = static_cast<std::size_t>(state.range(0));
   Rng rng{4};
   sim::EventQueue q;
-  for (std::size_t i = 0; i < pending; ++i) {
-    q.push(static_cast<Time>(rng.uniform_int(0, 8)), [] {});
+  std::uint32_t hits = 0;
+  for (int i = 0; i < 133; ++i) {
+    Record::push(q, static_cast<Time>(rng.uniform_int(1, 10)), &hits);
   }
   for (auto _ : state) {
-    const Time now = q.pop().when;
-    const Time delay = static_cast<Time>(rng.uniform_int(0, 8)) +
-                       (rng.chance(0.5) ? rng.uniform(0, 0.01) : 0.0);
-    benchmark::DoNotOptimize(q.push(now + delay, [] {}));
+    auto [when, fn] = q.pop();
+    fn();
+    const Time whole = std::floor(when);
+    Time phase = when - whole;
+    if (rng.chance(0.02)) phase = rng.chance(0.125) ? 0.5 : 0.0;
+    const auto cost = static_cast<Time>(rng.uniform_int(1, 10));
+    benchmark::DoNotOptimize(Record::push(q, whole + cost + phase, &hits));
   }
+  benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueSteadyState)->Arg(400);
+BENCHMARK_TEMPLATE(BM_EventQueueSteadyState, Typed);
+BENCHMARK_TEMPLATE(BM_EventQueueSteadyState, Closure);
 
 // Data-plane fan-out: a converged HBH session on the ISP topology, per-
 // iteration burst of emissions drained through the simulator. items/s is

@@ -61,10 +61,11 @@ int main() {
   hosts[2]->subscribe(ch, border_addr);
   sim.run_for(25);
 
+  std::size_t receivers = 0;
+  source->mft().for_each_data_target(sim.now(), [&](Ipv4Addr) { ++receivers; });
   std::printf("after 3 IGMP reports: border has %zu local members, "
               "source sees %zu receiver(s)\n",
-              border->local_members(ch).size(),
-              source->mft().data_targets(sim.now()).size());
+              border->local_members(ch).size(), receivers);
 
   source->send_data(1, 0);
   sim.run_for(20);

@@ -64,18 +64,6 @@ std::size_t Mft::live_count(Time now) const {
                     [now](const Entry& e) { return !e.second.dead(now); }));
 }
 
-std::vector<Ipv4Addr> Mft::data_targets(Time now) const {
-  std::vector<Ipv4Addr> out;
-  for_each_data_target(now, [&](Ipv4Addr target) { out.push_back(target); });
-  return out;
-}
-
-std::vector<Ipv4Addr> Mft::tree_targets(Time now) const {
-  std::vector<Ipv4Addr> out;
-  for_each_tree_target(now, [&](Ipv4Addr target) { out.push_back(target); });
-  return out;
-}
-
 std::vector<Ipv4Addr> Mft::live_targets(Time now) const {
   std::vector<Ipv4Addr> out;
   out.reserve(live_count(now));

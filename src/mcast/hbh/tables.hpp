@@ -81,10 +81,6 @@ class Mft {
   /// Number of live (non-dead) entries; allocates nothing.
   [[nodiscard]] std::size_t live_count(Time now) const;
 
-  /// The two selections above, collected (tests and tooling).
-  [[nodiscard]] std::vector<Ipv4Addr> data_targets(Time now) const;
-  [[nodiscard]] std::vector<Ipv4Addr> tree_targets(Time now) const;
-
   /// All live (non-dead) targets — the node list a fusion message carries.
   /// Reserved to its exact size: one allocation.
   [[nodiscard]] std::vector<Ipv4Addr> live_targets(Time now) const;

@@ -346,7 +346,7 @@ void Network::schedule_arrival(NodeId to, NodeId from, Packet&& packet,
     free_slots_.pop_back();
     in_flight_[slot] = InFlight{to, from, std::move(packet)};
   }
-  sim_.schedule(delay, [this, slot] { arrive(slot); });
+  sim_.schedule(delay, sim::action<&Network::arrive>(this, slot));
 }
 
 void Network::arrive(std::uint32_t slot) {

@@ -7,6 +7,11 @@
 
 namespace hbh::sim {
 
+EventId Simulator::schedule(Time delay, Action action) {
+  assert(delay >= 0);
+  return track(queue_.push(now_ + delay, action));
+}
+
 EventId Simulator::schedule(Time delay, Callback fn) {
   assert(delay >= 0);
   return track(queue_.push(now_ + delay, std::move(fn)));
@@ -61,7 +66,7 @@ PeriodicTimer::PeriodicTimer(Simulator& simulator, Time period,
 void PeriodicTimer::start(Time initial_delay) {
   stop();
   const Time first = initial_delay < 0 ? period_ : initial_delay;
-  pending_ = sim_.schedule(first, [this] { fire(); });
+  pending_ = sim_.schedule(first, action<&PeriodicTimer::fire>(this));
 }
 
 void PeriodicTimer::stop() {
@@ -72,7 +77,7 @@ void PeriodicTimer::stop() {
 }
 
 void PeriodicTimer::fire() {
-  pending_ = sim_.schedule(period_, [this] { fire(); });
+  pending_ = sim_.schedule(period_, action<&PeriodicTimer::fire>(this));
   fn_();
 }
 

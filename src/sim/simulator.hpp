@@ -1,8 +1,9 @@
 // The discrete-event simulator driving every experiment.
 //
-// This replaces ns-2 for the paper's purposes: schedule callbacks at
-// absolute or relative times, run until quiescence or a deadline, and query
-// the current virtual time. Single-threaded and deterministic.
+// This replaces ns-2 for the paper's purposes: schedule typed actions or
+// callbacks at absolute or relative times, run until quiescence or a
+// deadline, and query the current virtual time. Single-threaded and
+// deterministic.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,11 @@ class Simulator {
   /// Current virtual time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run `delay` time units from now. Requires delay >= 0.
+  /// Schedules `action` to run `delay` time units from now. Requires
+  /// delay >= 0. The per-hop and timer paths use this overload.
+  EventId schedule(Time delay, Action action);
+
+  /// Schedules the closure `fn` to run `delay` time units from now.
   EventId schedule(Time delay, Callback fn);
 
   /// Schedules `fn` at absolute time `when`. Requires when >= now().
@@ -74,6 +79,8 @@ class Simulator {
 /// join and tree messages. The callback runs every `period` until stop().
 class PeriodicTimer {
  public:
+  /// `fn` runs on every firing; the timer itself schedules a typed
+  /// `fire()` action, never a closure.
   PeriodicTimer(Simulator& simulator, Time period, Simulator::Callback fn);
   ~PeriodicTimer() { stop(); }
   PeriodicTimer(const PeriodicTimer&) = delete;

@@ -2,8 +2,9 @@
 // 128-bit key.
 //
 // Both priority queues on the simulator's hot paths order by a
-// (non-negative double, u64 tie-break) pair: the event queue by
-// (time, schedule order), the SPF frontier by (distance, push order). For
+// (non-negative double, u64 tie-break) pair: the event queue's same-time
+// runs by (time, order opened), the SPF frontier by (distance, push
+// order). For
 // doubles in [+0.0, +inf] the IEEE-754 bit pattern, read as an unsigned
 // integer, orders exactly like the value, so `bits << 64 | tie` is one
 // integer with the same total order as the pair. Comparing it is a
@@ -52,6 +53,11 @@ class MinHeap {
 
   /// The entry with the smallest key. Requires !empty().
   [[nodiscard]] const Entry& top() const noexcept {
+    assert(!v_.empty());
+    return v_.front();
+  }
+  /// The same, for updating fields outside the key; the key must not change.
+  [[nodiscard]] Entry& top() noexcept {
     assert(!v_.empty());
     return v_.front();
   }

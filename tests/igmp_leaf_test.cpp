@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "mcast/common/membership.hpp"
 #include "mcast/hbh/igmp_leaf.hpp"
@@ -15,6 +16,12 @@
 
 namespace hbh::mcast::hbh {
 namespace {
+
+std::vector<Ipv4Addr> data_targets(const Mft& mft, Time now) {
+  std::vector<Ipv4Addr> out;
+  mft.for_each_data_target(now, [&](Ipv4Addr t) { out.push_back(t); });
+  return out;
+}
 
 struct Tap : net::PacketTap {
   std::map<std::pair<NodeId, NodeId>, std::size_t> data_per_link;
@@ -88,7 +95,7 @@ TEST_F(IgmpLeaf, SingleUpstreamMembershipForManyLocalMembers) {
   EXPECT_TRUE(leaf->upstream_member(ch));
   EXPECT_EQ(leaf->local_members(ch).size(), 3u);
   // The source sees exactly one receiver: the leaf router itself.
-  const auto targets = source->mft().data_targets(sim.now());
+  const auto targets = data_targets(source->mft(), sim.now());
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], net->address_of(NodeId{1}));
 }

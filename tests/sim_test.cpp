@@ -2,10 +2,12 @@
 // deadlines, periodic timers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -229,6 +231,179 @@ TEST(EventQueueTest, MatchesSortedReferenceUnderRandomOps) {
       }
     }
   }
+}
+
+// --- The run structure: one FIFO chain per distinct pending time.
+
+/// Logs typed-record firings; `hit` is the method an Action binds.
+struct Recorder {
+  std::vector<int> log;
+  void hit(std::uint32_t tag) { log.push_back(static_cast<int>(tag)); }
+};
+
+TEST(EventQueueTest, CancelHeadMiddleAndTailOfOneRun) {
+  EventQueue q;
+  Recorder rec;
+  std::vector<EventId> ids;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    ids.push_back(q.push(3.0, action<&Recorder::hit>(&rec, i)));
+  }
+  q.push(5.0, action<&Recorder::hit>(&rec, 9));
+  EXPECT_TRUE(q.cancel(ids[0]));  // head
+  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
+  EXPECT_TRUE(q.cancel(ids[2]));  // middle
+  EXPECT_TRUE(q.cancel(ids[4]));  // tail
+  EXPECT_EQ(q.size(), 3u);
+  // A later push at the same time still joins the run behind its
+  // survivors, even though the run's tail entry is dead.
+  q.push(3.0, action<&Recorder::hit>(&rec, 5));
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(rec.log, (std::vector<int>{1, 3, 5, 9}));
+
+  // Cancelling a whole earliest run exposes the next one.
+  const EventId a = q.push(1.0, action<&Recorder::hit>(&rec, 0));
+  const EventId b = q.push(1.0, action<&Recorder::hit>(&rec, 0));
+  q.push(2.0, action<&Recorder::hit>(&rec, 0));
+  EXPECT_TRUE(q.cancel(b));
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_TRUE(q.cancel(a));
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueueTest, PushEarlierThanTheEarliestRun) {
+  EventQueue q;
+  std::vector<double> fired;
+  const auto at = [&](Time t) {
+    q.push(t, [&fired, t] { fired.push_back(t); });
+  };
+  at(5.0);
+  at(7.0);
+  at(2.0);  // opens a run before every pending one
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  at(6.0);
+  at(2.0);
+  {
+    auto [when, fn] = q.pop();
+    EXPECT_DOUBLE_EQ(when, 2.0);
+    fn();
+  }
+  // Earlier than an event that already fired: the queue itself does not
+  // require monotone pushes (the simulator does).
+  at(1.0);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<double>{2.0, 1.0, 2.0, 5.0, 6.0, 7.0}));
+}
+
+TEST(EventQueueTest, SignedZerosShareOneRunAndInfinityRunsLast) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EventQueue q;
+  Recorder rec;
+  q.push(0.0, action<&Recorder::hit>(&rec, 0));
+  q.push(inf, action<&Recorder::hit>(&rec, 1));
+  q.push(-0.0, action<&Recorder::hit>(&rec, 2));
+  q.push(1.0, action<&Recorder::hit>(&rec, 3));
+  q.push(0.0, action<&Recorder::hit>(&rec, 4));
+  q.push(inf, action<&Recorder::hit>(&rec, 5));
+  std::vector<double> times;
+  while (!q.empty()) {
+    auto [when, fn] = q.pop();
+    EXPECT_FALSE(std::signbit(when));  // -0.0 fires as +0.0
+    times.push_back(when);
+    fn();
+  }
+  EXPECT_EQ(rec.log, (std::vector<int>{0, 2, 4, 3, 1, 5}));
+  EXPECT_EQ(times, (std::vector<double>{0.0, 0.0, 0.0, 1.0, inf, inf}));
+}
+
+TEST(EventQueueTest, ClearWithSeveralRunsKillsEveryId) {
+  EventQueue q;
+  Recorder rec;
+  std::vector<EventId> before;
+  for (const Time t : {3.0, 1.0, 2.0, 1.0, 3.0}) {
+    before.push_back(q.push(t, action<&Recorder::hit>(&rec, 0)));
+  }
+  before.push_back(q.push(2.0, [&rec] { rec.hit(0); }));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slots_allocated(), 6u);
+  EXPECT_EQ(q.slots_free(), 6u);
+  for (const EventId id : before) EXPECT_FALSE(q.cancel(id));
+  // Post-clear pushes reuse the slots; the old ids stay dead.
+  const EventId x = q.push(2.0, action<&Recorder::hit>(&rec, 7));
+  q.push(1.0, [&rec] { rec.hit(6); });
+  for (const EventId id : before) EXPECT_FALSE(q.cancel(id));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_EQ(q.slots_allocated(), 6u);
+  EXPECT_EQ(q.total_pushes(), 8u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(rec.log, (std::vector<int>{6, 7}));
+  EXPECT_FALSE(q.cancel(x));
+}
+
+TEST(EventQueueTest, TypedRecordsAndClosuresFireInPushOrder) {
+  EventQueue q;
+  Recorder rec;
+  for (std::uint32_t i = 0; i < 8; i += 2) {
+    q.push(4.0, action<&Recorder::hit>(&rec, i));
+    q.push(4.0, [&rec, i] { rec.hit(i + 1); });
+  }
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(rec.log, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+  Simulator sim;
+  rec.log.clear();
+  sim.schedule(1.0, [&rec] { rec.hit(0); });
+  sim.schedule(1.0, action<&Recorder::hit>(&rec, 1));
+  sim.schedule(0.0, [&] {
+    // Same-instant pushes from inside an event, both kinds.
+    sim.schedule(1.0, action<&Recorder::hit>(&rec, 2));
+    sim.schedule(1.0, [&rec] { rec.hit(3); });
+  });
+  sim.run();
+  EXPECT_EQ(rec.log, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueTest, ManyDistinctTimesKeepPushOrderPerTime) {
+  // Hundreds of distinct pending times, revisited in random order, so a
+  // time's open run is often forgotten and a second run opens for it; pops
+  // in between recycle run records. The older run at a time must still
+  // fire first.
+  Rng rng{6};
+  EventQueue q;
+  Recorder rec;
+  std::set<std::pair<Time, int>> ref;  // (time, push index)
+  for (int i = 0; i < 20000; ++i) {
+    const Time t = 0.5 * static_cast<Time>(rng.uniform_int(0, 600)) +
+                   (ref.empty() ? 0.0 : ref.begin()->first);
+    q.push(t, action<&Recorder::hit>(&rec, static_cast<std::uint32_t>(i)));
+    ref.emplace(t, i);
+    if (rng.chance(0.4)) {
+      q.pop().fn();
+      ASSERT_EQ(rec.log.back(), ref.begin()->second);
+      ref.erase(ref.begin());
+    }
+  }
+  while (!q.empty()) {
+    q.pop().fn();
+    ASSERT_EQ(rec.log.back(), ref.begin()->second);
+    ref.erase(ref.begin());
+  }
+}
+
+TEST(EventQueueTest, CancelReleasesAClosureAtOnce) {
+  EventQueue q;
+  auto state = std::make_shared<int>(0);
+  const EventId id = q.push(1.0, [state] { ++*state; });
+  q.push(1.0, [state] { ++*state; });
+  EXPECT_EQ(state.use_count(), 3);
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(state.use_count(), 2);
+  q.pop().fn();
+  EXPECT_EQ(state.use_count(), 1);  // fired closures are released too
+  EXPECT_EQ(*state, 1);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {

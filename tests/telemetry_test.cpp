@@ -164,6 +164,10 @@ TEST(RegistryTest, CounterAccumulates) {
   metrics::Counter& c = reg.counter("x");
   c.inc();
   c.inc(4);
+  if (!metrics::kTelemetryCompiled) {
+    EXPECT_EQ(c.value(), 0u);  // compiled out: updates are no-ops
+    return;
+  }
   EXPECT_EQ(c.value(), 5u);
 }
 
@@ -192,6 +196,10 @@ TEST(RegistryTest, DisabledRegistryIgnoresUpdates) {
   EXPECT_EQ(h.count(), 0u);
   reg.set_enabled(true);
   c.inc();
+  if (!metrics::kTelemetryCompiled) {
+    EXPECT_EQ(c.value(), 0u);  // compiled out: enabling changes nothing
+    return;
+  }
   EXPECT_EQ(c.value(), 1u);
 }
 
@@ -200,7 +208,8 @@ TEST(RegistryTest, GaugeSetAddAndBind) {
   metrics::Gauge& g = reg.gauge("g");
   g.set(2.5);
   g.add(0.5);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
+  // Compiled out, set/add are no-ops; bound gauges still read through.
+  EXPECT_DOUBLE_EQ(g.value(), metrics::kTelemetryCompiled ? 3.0 : 0.0);
   double source = 10;
   reg.bind_gauge("bound", [&source] { return source; });
   EXPECT_DOUBLE_EQ(reg.gauge("bound").value(), 10.0);
@@ -215,6 +224,12 @@ TEST(RegistryTest, HistogramBucketsSumAndOverflow) {
   h.observe(2);    // bucket 1 (<= 2)
   h.observe(100);  // overflow bucket
   ASSERT_EQ(h.counts().size(), 4u);
+  if (!metrics::kTelemetryCompiled) {
+    // Compiled out: observations are no-ops.
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.counts()[3], 0u);
+    return;
+  }
   EXPECT_EQ(h.counts()[0], 1u);
   EXPECT_EQ(h.counts()[1], 1u);
   EXPECT_EQ(h.counts()[2], 0u);
@@ -225,6 +240,7 @@ TEST(RegistryTest, HistogramBucketsSumAndOverflow) {
 }
 
 TEST(RegistryTest, HistogramQuantilesInterpolateWithinBuckets) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Registry reg;
   metrics::Histogram& h = reg.histogram("h", {10, 20, 40});
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty histogram
@@ -239,6 +255,7 @@ TEST(RegistryTest, HistogramQuantilesInterpolateWithinBuckets) {
 }
 
 TEST(RegistryTest, HistogramQuantileOverflowClampsToLastBound) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Registry reg;
   metrics::Histogram& h = reg.histogram("h", {1, 2});
   h.observe(1000);  // overflow bucket: upper edge unknown
@@ -320,6 +337,7 @@ TEST(StateSamplerTest, MaxSamplesBoundsMemory) {
 }
 
 TEST(NetworkStatsTapTest, CountsPerTypeBytesAndDrops) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Registry reg;
   metrics::NetworkStatsTap tap{reg};
   const auto e = edge(0, 1);
@@ -377,6 +395,7 @@ class DropCounterTest : public ::testing::Test {
 };
 
 TEST_F(DropCounterTest, TtlExpiredCountsExactly) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // ttl=1 buys exactly one hop: node 1's forward finds ttl 0 and drops.
   net::Packet p = data_to(NodeId{3});
   p.ttl = 1;
@@ -388,6 +407,7 @@ TEST_F(DropCounterTest, TtlExpiredCountsExactly) {
 }
 
 TEST_F(DropCounterTest, SeededLossDropsEveryCopyOnTheImpairedLink) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // loss=1.0 makes the seeded plan deterministic outright: every copy
   // entering link 1->2 is dropped as "loss" at node 1, after crossing
   // 0->1 intact.
@@ -406,6 +426,7 @@ TEST_F(DropCounterTest, SeededLossDropsEveryCopyOnTheImpairedLink) {
 }
 
 TEST_F(DropCounterTest, BlackholeWindowDropsAsLinkDown) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // A blackhole window is an impairment the IGP never sees: routing still
   // points through 0->1, so both sends die there as "link-down".
   net::Impairment blackhole;
@@ -420,6 +441,7 @@ TEST_F(DropCounterTest, BlackholeWindowDropsAsLinkDown) {
 }
 
 TEST(NetworkStatsTapTest, QueueAndRedDropsLandInDistinctCounters) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // A capacitated link: a 5-burst into a limit-4 queue yields exactly one
   // "queue-full"; a RED link under sustained 2x overload yields "red-early"
   // drops. The two reasons must never share a counter.
@@ -506,6 +528,7 @@ class SessionTelemetryTest : public ::testing::Test {
 };
 
 TEST_F(SessionTelemetryTest, GaugesAndTapsTrackTheRun) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const harness::Measurement m = session_->measure();
   EXPECT_TRUE(m.delivered_exactly_once());
 

@@ -42,6 +42,7 @@ struct TracedRun {
 };
 
 TEST(TracerTest, JoinToFirstDeliveryMatchesProbeMeasuredDelay) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   TracedRun run{Protocol::kHbh};
   auto channel = run.session.default_channel();
   channel.subscribe(run.receiver, 0.1);
@@ -67,6 +68,7 @@ TEST(TracerTest, JoinToFirstDeliveryMatchesProbeMeasuredDelay) {
 }
 
 TEST(TracerTest, TransmitSpansDescendFromRootsForEveryProtocol) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   for (const Protocol proto : harness::all_protocols()) {
     TracedRun run{proto};
     auto channel = run.session.default_channel();
@@ -100,6 +102,7 @@ TEST(TracerTest, TransmitSpansDescendFromRootsForEveryProtocol) {
 }
 
 TEST(TracerTest, ExplicitPruneBeatsSoftStateTimeout) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // The asymmetry the convergence ablation quantifies, asserted on the
   // known line: PIM un-grafts by explicit prune (well under one refresh
   // period), HBH waits for the soft-state death timer (t2 = 70 default).
@@ -152,6 +155,7 @@ TEST(TracerTest, IdenticalRunsProduceIdenticalSpans) {
 }
 
 TEST(TracerTest, PerfettoExportIsSchemaTaggedTraceEventJson) {
+  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   TracedRun run{Protocol::kHbh};
   auto channel = run.session.default_channel();
   channel.subscribe(run.receiver, 0.1);
@@ -183,6 +187,13 @@ TEST(TracerTest, PerfettoExportIsSchemaTaggedTraceEventJson) {
 TEST(TracerTest, CapacityBoundsRecordingButIdsKeepAdvancing) {
   sim::Simulator sim;
   Tracer tracer{sim, 2};
+  if (!metrics::kTelemetryCompiled) {
+    // Compiled out: roots are inert and nothing is recorded.
+    EXPECT_FALSE(tracer.root("a", NodeId{0}, net::Channel{}, kNoAddr).active());
+    EXPECT_TRUE(tracer.spans().empty());
+    EXPECT_EQ(tracer.dropped(), 0u);
+    return;
+  }
   const net::TraceContext c1 =
       tracer.root("a", NodeId{0}, net::Channel{}, kNoAddr);
   const net::TraceContext c2 =
@@ -211,6 +222,12 @@ TEST(TracerTest, KillSwitchStopsSpansAndUntagsPackets) {
   EXPECT_FALSE(ctx.active());
   EXPECT_TRUE(tracer.spans().empty());
   tracer.set_enabled(true);
+  if (!metrics::kTelemetryCompiled) {
+    // Compiled out, enabling changes nothing: roots stay inert.
+    EXPECT_FALSE(tracer.root("b", NodeId{0}, net::Channel{}, kNoAddr).active());
+    EXPECT_TRUE(tracer.spans().empty());
+    return;
+  }
   EXPECT_TRUE(tracer.root("b", NodeId{0}, net::Channel{}, kNoAddr).active());
   EXPECT_EQ(tracer.spans().size(), 1u);
 }
