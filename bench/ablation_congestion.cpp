@@ -144,9 +144,8 @@ int main() {
   const std::uint64_t base_seed = env_seed();
   const auto payload = static_cast<std::uint32_t>(env_payload(64));
   const std::size_t queue_limit = env_queue_limit(32);
-  const std::string aqm_name = env_aqm();
-  const net::AqmPolicy aqm =
-      net::aqm_from_string(aqm_name).value_or(net::AqmPolicy::kDropTail);
+  // env_aqm accepts only the policy names aqm_from_string parses.
+  const net::AqmPolicy aqm = net::aqm_from_string(env_aqm()).value();
 
   std::vector<double> rates{1.0, 2.0, 4.0};
   if (const double r = env_rate(0); r > 0) rates = {r};

@@ -6,9 +6,6 @@
 # state-scaling check caps its channel sweep this way).
 # Optional -DTRACE_OUT=path also sets HBH_TRACE_OUT and schema-checks the
 # resulting Perfetto trace (hbh.trace/v1).
-# -DNO_TELEMETRY=ON (a -DHBH_NO_TELEMETRY=ON build) checks the compiled-out
-# artifacts instead: the report has no perf_profile section and the trace
-# records no span.
 set(trace_env "")
 if(TRACE_OUT)
   set(trace_env "HBH_TRACE_OUT=${TRACE_OUT}")
@@ -28,27 +25,14 @@ if(NOT EXISTS "${OUT}")
 endif()
 file(READ "${OUT}" doc)
 
-set(profile_needles
-    "\"perf_profile\"" "hbh.perf_profile/v3" "\"phases\"" "\"trial_setup\""
-    "\"wall_ns\"" "\"peak_rss_bytes\"")
-if(NO_TELEMETRY)
-  foreach(gone ${profile_needles})
-    string(FIND "${doc}" "${gone}" pos)
-    if(NOT pos EQUAL -1)
-      message(FATAL_ERROR "report ${OUT} carries ${gone}, but the profiler "
-        "is compiled out")
-    endif()
-  endforeach()
-  set(profile_needles "")
-endif()
-
 foreach(needle
     "\"schema\"" "hbh.run_report/v3" "\"sweep\"" "\"runs\"" "\"HBH\""
     "\"counters\"" "\"net.tx.tree\"" "\"net.tx_bytes.tree\"" "\"gauges\""
     "\"series\"" "\"state.forwarding_entries\""
     "\"p50\"" "\"p95\"" "\"p99\"" "\"trace\"" "hbh.trace/v1"
     "\"convergence\"" "\"grafts\"" "\"mean_join_to_first_delivery\""
-    ${profile_needles}
+    "\"perf_profile\"" "hbh.perf_profile/v4" "\"phases\"" "\"trial_setup\""
+    "\"wall_ns\"" "\"peak_rss_bytes\""
     "\"wall_seconds\"")
   string(FIND "${doc}" "${needle}" pos)
   if(pos EQUAL -1)
@@ -56,11 +40,13 @@ foreach(needle
   endif()
 endforeach()
 
-# hbh.perf_profile/v3 dropped per-phase thread-CPU time, and
+# hbh.perf_profile/v3 dropped per-phase thread-CPU time, v4 dropped the
+# per-phase allocation counters and the alloc_counting flag, and
 # hbh.run_report/v3 dropped the message summary (the per-type counts are
 # the registry's net.tx.* / net.tx_bytes.* counters); no writer may emit
-# either again.
-foreach(gone "\"cpu_ns\"" "\"messages_dropped\"")
+# any of them again.
+foreach(gone "\"cpu_ns\"" "\"allocs\"" "\"alloc_bytes\"" "\"alloc_counting\""
+    "\"messages_dropped\"")
   string(FIND "${doc}" "${gone}" pos)
   if(NOT pos EQUAL -1)
     message(FATAL_ERROR "report ${OUT} still carries ${gone}")
@@ -99,21 +85,10 @@ if(TRACE_OUT)
     message(FATAL_ERROR "HBH_TRACE_OUT=${TRACE_OUT} was not written")
   endif()
   file(READ "${TRACE_OUT}" trace_doc)
-  set(span_needles
-      "\"thread_name\"" "\"ph\":\"X\"" "\"subscribe\"" "tx:tree")
-  if(NO_TELEMETRY)
-    foreach(gone ${span_needles})
-      string(FIND "${trace_doc}" "${gone}" pos)
-      if(NOT pos EQUAL -1)
-        message(FATAL_ERROR "trace ${TRACE_OUT} carries ${gone}, but the "
-          "tracer is compiled out")
-      endif()
-    endforeach()
-    set(span_needles "\"spans_recorded\":0")
-  endif()
   foreach(needle
       "hbh.trace/v1" "\"traceEvents\"" "\"displayTimeUnit\""
-      "\"process_name\"" "\"spans_recorded\"" ${span_needles})
+      "\"process_name\"" "\"spans_recorded\"" "\"thread_name\""
+      "\"ph\":\"X\"" "\"subscribe\"" "tx:tree")
     string(FIND "${trace_doc}" "${needle}" pos)
     if(pos EQUAL -1)
       message(FATAL_ERROR "trace ${TRACE_OUT} is missing ${needle}")

@@ -12,8 +12,7 @@
 // admission, not loss (CongestionTest pins the drop-tail path).
 //
 // Every count in DataplaneRun is a pure simulation output, exact for a
-// given seed; only wall_seconds and allocs depend on the machine and
-// build.
+// given seed; only wall_seconds depends on the machine and build.
 #pragma once
 
 #include <chrono>
@@ -46,7 +45,6 @@ struct DataplaneRun {
   std::uint64_t drops_queue_full = 0;
   std::uint64_t drops_red = 0;
   double wall_seconds = 0;
-  std::uint64_t allocs = 0;  ///< 0 unless built with -DHBH_PROF_ALLOC=ON
 };
 
 inline DataplaneRun run_dataplane(harness::Protocol protocol,
@@ -88,7 +86,6 @@ inline DataplaneRun run_dataplane(harness::Protocol protocol,
   HBH_PHASE("measure_loop");
   const net::NetworkCounters before = session.network().counters();
   const std::uint64_t events_before = session.simulator().executed();
-  const std::uint64_t allocs_before = prof::thread_alloc_counters().allocs;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kDataplaneRounds; ++i) round();
   session.run_for(kTailDrain);
@@ -96,7 +93,6 @@ inline DataplaneRun run_dataplane(harness::Protocol protocol,
   run.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-  run.allocs = prof::thread_alloc_counters().allocs - allocs_before;
   const net::NetworkCounters& after = session.network().counters();
   run.data_packets = after.data_transmissions - before.data_transmissions;
   run.control_packets =

@@ -5,10 +5,8 @@
 // plain, and with capacitated backbone links — and prints one table per
 // mode. Throughput varies with the machine; the packet counts are pure
 // simulation outputs, pinned exactly by
-// DataplaneWorkloadTest.CountsMatchThePinnedValues. Built with
-// -DHBH_PROF_ALLOC=ON the table also carries the exact heap allocation
-// count of the measured loop, so an allocation regression on the data path
-// shows up as a counted number instead of a timing blur.
+// DataplaneWorkloadTest.CountsMatchThePinnedValues. Heap allocations per
+// packet come from perfbench's `alloc.per_pkt` (perfbench/README.md).
 //
 // Knobs: HBH_SEED, HBH_PROF_OUT (standalone phase profile).
 #include <cstdio>
@@ -67,17 +65,16 @@ int main() {
     queued_results.push_back(run_protocol(p, seed, true));
   }
 
-  std::printf("%-10s %12s %12s %14s %14s %10s\n", "protocol", "data_pkts",
-              "ctrl_pkts", "packets/s", "events/s", "allocs");
+  std::printf("%-10s %12s %12s %14s %14s\n", "protocol", "data_pkts",
+              "ctrl_pkts", "packets/s", "events/s");
   for (std::size_t i = 0; i < protocols.size(); ++i) {
     const DataplaneRun& r = results[i];
-    std::printf("%-10s %12llu %12llu %14.0f %14.0f %10llu\n",
+    std::printf("%-10s %12llu %12llu %14.0f %14.0f\n",
                 std::string(to_string(protocols[i])).c_str(),
                 static_cast<unsigned long long>(r.data_packets),
                 static_cast<unsigned long long>(r.control_packets),
                 per_second(r.data_packets, r.wall_seconds),
-                per_second(r.sim_events, r.wall_seconds),
-                static_cast<unsigned long long>(r.allocs));
+                per_second(r.sim_events, r.wall_seconds));
   }
 
   std::printf("\nqueued mode (backbone capacity=%.0f B/tu, queue=%zu, "

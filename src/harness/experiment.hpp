@@ -148,7 +148,7 @@ struct ArtifactPaths {
   std::string report;   ///< HBH_REPORT: hbh.run_report/v3 JSON
   std::string trace;    ///< HBH_TRACE_OUT: hbh.trace/v1 Perfetto JSON
   std::string audit;    ///< HBH_AUDIT_OUT: hbh.audit/v1 NDJSON
-  std::string profile;  ///< HBH_PROF_OUT: hbh.perf_profile/v3 JSON
+  std::string profile;  ///< HBH_PROF_OUT: hbh.perf_profile/v4 JSON
 
   /// The paths the HBH_* variables name (docs/OBSERVABILITY.md).
   [[nodiscard]] static ArtifactPaths from_env();

@@ -162,7 +162,7 @@ NodeId choose_rp_delay_aware(const routing::UnicastRouting& routes,
       for (auto it = up.rbegin(); it != up.rend(); ++it) {
         const LinkId back = topo.reverse(*it);
         assert(back.valid());
-        delay += topo.edge(back).attrs.delay;
+        delay += topo.edge(back).link.delay;
       }
       down += delay;
       ++n;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "metrics/json.hpp"
-#include "metrics/registry.hpp"
 
 namespace hbh::metrics {
 
@@ -68,7 +67,6 @@ std::uint64_t Auditor::total() const noexcept {
 void Auditor::raise(AnomalyKind kind, Time at, NodeId node,
                     const net::Channel& channel, std::uint32_t seq,
                     std::uint64_t trace_id, std::string detail) {
-  if constexpr (!kTelemetryCompiled) return;
   ++counts_[static_cast<std::size_t>(kind)];
   if (events_.size() < config_.max_events) {
     events_.push_back(AnomalyEvent{kind, at, node, channel, seq, trace_id,
@@ -90,7 +88,6 @@ void Auditor::raise(AnomalyKind kind, Time at, NodeId node,
 
 void Auditor::on_transmit(const net::Topology::Edge& edge,
                           const net::Packet& packet, Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   if (packet.type != net::PacketType::kData) return;
   if (!config_.at_most_once) return;  // REUNITE: transients re-cross links
   if (copies_.size() >= kMaxCopyKeys) copies_.clear();
@@ -115,7 +112,6 @@ void Auditor::on_transmit(const net::Topology::Edge& edge,
 
 void Auditor::on_drop(NodeId at, const net::Packet& packet,
                       std::string_view reason, Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   // A data packet can only exhaust a 64-hop TTL in these (≤ 50 node)
   // topologies by circulating: definitive loop evidence.
   if (reason == "ttl-expired" && packet.type == net::PacketType::kData) {
@@ -126,7 +122,6 @@ void Auditor::on_drop(NodeId at, const net::Packet& packet,
 
 void Auditor::on_deliver(NodeId to, NodeId from, const net::Packet& packet,
                          Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   (void)from;
   if (packet.type != net::PacketType::kData) return;
   const auto ch = channels_.find(packet.channel);
@@ -151,7 +146,6 @@ void Auditor::on_deliver(NodeId to, NodeId from, const net::Packet& packet,
 
 void Auditor::note_subscribe(const net::Channel& channel, NodeId host,
                              Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   ChannelAudit& audit = channels_[channel];
   audit.ever_member = true;
   MemberState& m = audit.members[host];
@@ -161,7 +155,6 @@ void Auditor::note_subscribe(const net::Channel& channel, NodeId host,
 
 void Auditor::note_unsubscribe(const net::Channel& channel, NodeId host,
                                Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   const auto ch = channels_.find(channel);
   if (ch == channels_.end()) return;
   ch->second.members.erase(host);
@@ -170,7 +163,6 @@ void Auditor::note_unsubscribe(const net::Channel& channel, NodeId host,
 
 void Auditor::note_emission(const net::Channel& channel, std::uint32_t seq,
                             Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   (void)seq;
   ChannelAudit& audit = channels_[channel];
   if (audit.emissions.size() >= kMaxEmissions) {
@@ -209,7 +201,6 @@ void Auditor::check_blackholes(const net::Channel& channel,
 void Auditor::note_tree_cost(const net::Channel& channel,
                              std::uint64_t measured, std::uint64_t oracle,
                              bool exact_delivery, Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   if (!exact_delivery || oracle == 0 || measured == oracle) return;
   raise(AnomalyKind::kTreeDrift, now, kNoNode, channel, 0, 0,
         "converged tree cost " + std::to_string(measured) +
@@ -217,14 +208,12 @@ void Auditor::note_tree_cost(const net::Channel& channel,
 }
 
 void Auditor::begin_sweep(Time now) {
-  if constexpr (!kTelemetryCompiled) return;
   sweep_now_ = now;
   sweep_start_ = std::chrono::steady_clock::now();
 }
 
 void Auditor::sweep_entry(NodeId router, const net::Channel& channel,
                           std::string_view table, Time t2_expiry) {
-  if constexpr (!kTelemetryCompiled) return;
   const auto ch = channels_.find(channel);
   if (ch == channels_.end()) return;
   const ChannelAudit& audit = ch->second;
@@ -248,7 +237,6 @@ void Auditor::sweep_entry(NodeId router, const net::Channel& channel,
 
 void Auditor::sweep_tables(NodeId router, const net::Channel& channel,
                            bool live_mct, bool live_mft) {
-  if constexpr (!kTelemetryCompiled) return;
   if (!live_mct || !live_mft) return;
   if (!shape_raised_.emplace(router.index(), channel).second) return;
   raise(AnomalyKind::kStateMisplacement, sweep_now_, router, channel, 0, 0,
@@ -257,7 +245,6 @@ void Auditor::sweep_tables(NodeId router, const net::Channel& channel,
 }
 
 void Auditor::end_sweep() {
-  if constexpr (!kTelemetryCompiled) return;
   for (auto& [channel, audit] : channels_) {
     check_blackholes(channel, audit, sweep_now_);
   }
@@ -267,7 +254,6 @@ void Auditor::end_sweep() {
 }
 
 void Auditor::append_ndjson(std::string& out, std::string_view protocol) const {
-  if constexpr (!kTelemetryCompiled) return;
   for (const AnomalyEvent& e : events_) {
     out.append("{\"schema\":\"hbh.audit/v1\",\"protocol\":")
         .append(JsonWriter::quote(protocol))

@@ -15,8 +15,7 @@
 // AuditorConfig::max_events) for the HBH_AUDIT_OUT NDJSON stream, and
 // optionally fatal: strict mode throws on the first violation so CI turns
 // every bench into a self-checking correctness probe. Everything here
-// observes virtual time only, so output is byte-identical across HBH_JOBS;
-// like all telemetry it compiles out to no-ops under -DHBH_NO_TELEMETRY=ON.
+// observes virtual time only, so output is byte-identical across HBH_JOBS.
 #pragma once
 
 #include <array>

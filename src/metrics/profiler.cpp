@@ -11,8 +11,6 @@ void write_phase_map(JsonWriter& w, const PhaseMap& phases) {
     w.begin_object();
     w.member("count", s.count);
     w.member("wall_ns", s.wall_ns);
-    w.member("allocs", s.allocs);
-    w.member("alloc_bytes", s.alloc_bytes);
     w.end_object();
   }
   w.end_object();
@@ -24,7 +22,6 @@ void write_resources(JsonWriter& w) {
   w.key("resources");
   w.begin_object();
   w.member("peak_rss_bytes", prof::peak_rss_bytes());
-  w.member("alloc_counting", prof::kAllocCountingCompiled);
   w.end_object();
 }
 

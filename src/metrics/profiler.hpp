@@ -1,4 +1,4 @@
-// Serialization of phase profiles (schema "hbh.perf_profile/v3").
+// Serialization of phase profiles (schema "hbh.perf_profile/v4").
 //
 // The profiler core lives in src/util/profiler.hpp so the instrumented
 // layers (routing, sim, mcast) can open HBH_PHASE scopes without a
@@ -28,14 +28,14 @@ using prof::PhaseScope;
 using prof::PhaseStats;
 using prof::ScopedProfiler;
 
-inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v3";
+inline constexpr std::string_view kPerfProfileSchema = "hbh.perf_profile/v4";
 
-/// Writes a "phases" object value: {"<path>": {count, wall_ns, allocs,
-/// alloc_bytes}, ...}. Expects the writer positioned for a value.
+/// Writes a "phases" object value: {"<path>": {count, wall_ns}, ...}.
+/// Expects the writer positioned for a value.
 void write_phase_map(JsonWriter& w, const PhaseMap& phases);
 
 /// Writes a full perf_profile section value: {"schema", "phases",
-/// "resources": {peak_rss_bytes, alloc_counting}}.
+/// "resources": {peak_rss_bytes}}.
 void write_perf_profile(JsonWriter& w, const PhaseMap& phases);
 
 /// Writes a standalone {schema, info, labels: {<label>: {phases}}, resources}

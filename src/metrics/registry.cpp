@@ -17,22 +17,19 @@ T& find_or_create(std::map<std::string, std::unique_ptr<T>>& map,
 }  // namespace
 
 Counter& Registry::counter(std::string_view name) {
-  return find_or_create(counters_, name, [this] {
-    return std::unique_ptr<Counter>{new Counter{&enabled_}};
-  });
+  return find_or_create(counters_, name,
+                        [] { return std::unique_ptr<Counter>{new Counter}; });
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-  return find_or_create(gauges_, name, [this] {
-    return std::unique_ptr<Gauge>{new Gauge{&enabled_}};
-  });
+  return find_or_create(gauges_, name,
+                        [] { return std::unique_ptr<Gauge>{new Gauge}; });
 }
 
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> bounds) {
-  return find_or_create(histograms_, name, [this, &bounds] {
-    return std::unique_ptr<Histogram>{
-        new Histogram{&enabled_, std::move(bounds)}};
+  return find_or_create(histograms_, name, [&bounds] {
+    return std::unique_ptr<Histogram>{new Histogram{std::move(bounds)}};
   });
 }
 

@@ -3,11 +3,11 @@
 //
 // Design goals (DESIGN.md + docs/OBSERVABILITY.md):
 //  * O(1) hot path — instruments resolve their metric once at wiring time
-//    and then update through a stable reference; updates are one branch
-//    plus one add.
-//  * ~zero cost when disabled — every update checks a single shared
-//    `enabled` flag, and defining HBH_NO_TELEMETRY compiles updates out
-//    entirely (benches measure the event loop, not the bookkeeping).
+//    and then update through a stable reference; an update is one add.
+//  * Zero cost when off — a Session builds a Registry only when its
+//    ObserverSpec asks for telemetry, so an unobserved run has no
+//    instruments to update (benches measure the event loop, not the
+//    bookkeeping).
 //  * Single-threaded by design, like the simulator it observes: one
 //    Registry belongs to one run (harness::Session owns one per session).
 #pragma once
@@ -25,29 +25,16 @@
 
 namespace hbh::metrics {
 
-#ifdef HBH_NO_TELEMETRY
-inline constexpr bool kTelemetryCompiled = false;
-#else
-inline constexpr bool kTelemetryCompiled = true;
-#endif
-
 /// Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (*enabled_) value_ += n;
-    } else {
-      (void)n;
-    }
-  }
+  void inc(std::uint64_t n = 1) noexcept { value_ += n; }
 
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
  private:
   friend class Registry;
-  explicit Counter(const bool* enabled) noexcept : enabled_(enabled) {}
-  const bool* enabled_;
+  Counter() = default;
   std::uint64_t value_ = 0;
 };
 
@@ -56,20 +43,8 @@ class Counter {
 /// (MFT/MCT entry counts, queue depth) is exposed without per-update cost.
 class Gauge {
  public:
-  void set(double v) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (*enabled_) value_ = v;
-    } else {
-      (void)v;
-    }
-  }
-  void add(double delta) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (*enabled_) value_ += delta;
-    } else {
-      (void)delta;
-    }
-  }
+  void set(double v) noexcept { value_ = v; }
+  void add(double delta) noexcept { value_ += delta; }
 
   /// Binds the gauge to a provider; value() then reflects the callback.
   void bind(std::function<double()> provider) {
@@ -80,8 +55,7 @@ class Gauge {
 
  private:
   friend class Registry;
-  explicit Gauge(const bool* enabled) noexcept : enabled_(enabled) {}
-  const bool* enabled_;
+  Gauge() = default;
   double value_ = 0;
   std::function<double()> provider_;
 };
@@ -92,16 +66,11 @@ class Gauge {
 class Histogram {
  public:
   void observe(double v) noexcept {
-    if constexpr (kTelemetryCompiled) {
-      if (!*enabled_) return;
-      std::size_t i = 0;
-      while (i < bounds_.size() && v > bounds_[i]) ++i;
-      ++counts_[i];
-      sum_ += v;
-      ++total_;
-    } else {
-      (void)v;
-    }
+    std::size_t i = 0;
+    while (i < bounds_.size() && v > bounds_[i]) ++i;
+    ++counts_[i];
+    sum_ += v;
+    ++total_;
   }
 
   /// Bucket upper bounds; counts() has one extra trailing overflow bucket.
@@ -144,11 +113,8 @@ class Histogram {
 
  private:
   friend class Registry;
-  Histogram(const bool* enabled, std::vector<double> bounds)
-      : enabled_(enabled),
-        bounds_(std::move(bounds)),
-        counts_(bounds_.size() + 1, 0) {}
-  const bool* enabled_;
+  explicit Histogram(std::vector<double> bounds)
+      : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {}
   std::vector<double> bounds_;  ///< strictly increasing upper bounds
   std::vector<std::uint64_t> counts_;
   double sum_ = 0;
@@ -160,12 +126,9 @@ class Histogram {
 /// lifetime (metrics are heap-pinned and the registry never moves).
 class Registry {
  public:
-  explicit Registry(bool enabled = true) : enabled_(enabled) {}
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Finds or creates the named metric. Registering the same name twice
   /// returns the same object (so independent instruments can share it).
@@ -192,7 +155,6 @@ class Registry {
   }
 
  private:
-  bool enabled_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

@@ -36,7 +36,7 @@ struct RunReport {
   const StateSampler* sampler = nullptr;
   const Tracer* tracer = nullptr;                 ///< causal span summary
   const ConvergenceSummary* convergence = nullptr;
-  /// Aggregated phase profile (schema hbh.perf_profile/v3); omitted when
+  /// Aggregated phase profile (schema hbh.perf_profile/v4); omitted when
   /// null or empty. Phase counts are deterministic at any HBH_JOBS;
   /// timings are excluded from byte-identity checks.
   const PhaseMap* profile = nullptr;

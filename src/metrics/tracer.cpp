@@ -69,8 +69,6 @@ net::TraceContext Tracer::open(std::uint64_t trace_id,
 
 net::TraceContext Tracer::root(std::string_view name, NodeId node,
                                const net::Channel& channel, Ipv4Addr subject) {
-  if constexpr (!kTelemetryCompiled) return {};
-  if (!enabled_) return {};
   const Time now = sim_.now();
   return open(0, 0, SpanKind::kRoot, name, node, channel, subject,
               net::PacketType::kData, now, now);
@@ -80,8 +78,7 @@ net::TraceContext Tracer::child(const net::TraceContext& parent,
                                 std::string_view name, NodeId node,
                                 const net::Channel& channel,
                                 Ipv4Addr subject) {
-  if constexpr (!kTelemetryCompiled) return {};
-  if (!enabled_ || !parent.active()) return parent;
+  if (!parent.active()) return parent;
   const Time now = sim_.now();
   return open(parent.trace_id, parent.span_id, SpanKind::kChild, name, node,
               channel, subject, net::PacketType::kData, now, now);
@@ -90,8 +87,7 @@ net::TraceContext Tracer::child(const net::TraceContext& parent,
 void Tracer::instant(const net::TraceContext& parent, std::string_view name,
                      NodeId node, const net::Channel& channel,
                      Ipv4Addr subject) {
-  if constexpr (!kTelemetryCompiled) return;
-  if (!enabled_ || !parent.active()) return;
+  if (!parent.active()) return;
   const Time now = sim_.now();
   open(parent.trace_id, parent.span_id, SpanKind::kInstant, name, node,
        channel, subject, net::PacketType::kData, now, now);
@@ -100,8 +96,7 @@ void Tracer::instant(const net::TraceContext& parent, std::string_view name,
 net::TraceContext Tracer::on_transmit(const net::Topology::Edge& edge,
                                       const net::Packet& packet, Time start,
                                       Time arrival) {
-  if constexpr (!kTelemetryCompiled) return packet.trace;
-  if (!enabled_ || !packet.trace.active()) return packet.trace;
+  if (!packet.trace.active()) return packet.trace;
   std::string name{"tx:"};
   name.append(net::to_string(packet.type));
   return open(packet.trace.trace_id, packet.trace.span_id, SpanKind::kTransmit,
@@ -111,8 +106,7 @@ net::TraceContext Tracer::on_transmit(const net::Topology::Edge& edge,
 
 void Tracer::on_drop(NodeId at, const net::Packet& packet,
                      std::string_view reason, Time now) {
-  if constexpr (!kTelemetryCompiled) return;
-  if (!enabled_ || !packet.trace.active()) return;
+  if (!packet.trace.active()) return;
   std::string name{"drop:"};
   name.append(reason);
   open(packet.trace.trace_id, packet.trace.span_id, SpanKind::kInstant, name,

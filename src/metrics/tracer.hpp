@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/registry.hpp"  // kTelemetryCompiled
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -58,11 +57,6 @@ class Tracer final : public net::TraceHook {
   /// trace structure is independent of the recording limit.
   explicit Tracer(sim::Simulator& sim, std::size_t capacity = 1u << 20);
 
-  // Registry-style kill switch: while disabled, no spans open and packets
-  // stay untraced (contexts come back inactive).
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
   // net::TraceHook
   net::TraceContext root(std::string_view name, NodeId node,
                          const net::Channel& channel,
@@ -97,7 +91,6 @@ class Tracer final : public net::TraceHook {
 
   sim::Simulator& sim_;
   std::size_t capacity_;
-  bool enabled_ = true;
   std::vector<SpanRecord> spans_;
   std::uint64_t next_id_ = 1;
   std::uint64_t dropped_ = 0;

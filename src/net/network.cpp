@@ -236,16 +236,16 @@ bool Network::admit(LinkId link, const Topology::Edge& edge,
     q.departures.pop_front();
   }
   const std::size_t occupancy = q.departures.size();
-  if (occupancy >= edge.attrs.queue_limit) {
+  if (occupancy >= edge.link.queue_limit) {
     drop(edge.from, packet, "queue-full");
     return false;
   }
-  if (edge.attrs.aqm == AqmPolicy::kRed &&
-      red_rejects(q, link, edge.attrs, occupancy)) {
+  if (edge.link.aqm == AqmPolicy::kRed &&
+      red_rejects(q, link, edge.link, occupancy)) {
     drop(edge.from, packet, "red-early");
     return false;
   }
-  const Time serialization = edge.attrs.serialization_time(encoded_size(packet));
+  const Time serialization = edge.link.serialization_time(encoded_size(packet));
   const Time start = q.busy_until > now ? q.busy_until : now;
   const Time wait = start - now;
   q.busy_until = start + serialization;
@@ -278,7 +278,7 @@ void Network::transmit(LinkId link, Packet packet) {
   // happens on the wire, not in the buffer. capacity == 0 (every
   // pre-congestion experiment) takes exactly one predicted-false branch.
   Time queue_delay = 0;
-  if (edge.attrs.capacitated() && packet.type == PacketType::kData &&
+  if (edge.link.capacitated() && packet.type == PacketType::kData &&
       !admit(link, edge, packet, queue_delay)) {
     return;
   }
@@ -313,7 +313,7 @@ void Network::transmit(LinkId link, Packet packet) {
   const auto send_copy = [&](Packet copy, Time added) {
     // Arrival = queue wait + serialization + propagation (+ impairment
     // jitter); queue_delay is 0 on uncapacitated links.
-    const Time latency = queue_delay + edge.attrs.delay + added;
+    const Time latency = queue_delay + edge.link.delay + added;
     ++counters_.transmissions;
     if (copy.type == PacketType::kData) {
       ++counters_.data_transmissions;

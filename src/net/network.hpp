@@ -109,8 +109,8 @@ class ProtocolAgent {
 /// other way around, exactly like PacketTap). Roots anchor externally
 /// triggered actions; on_transmit mints a child span for every wire copy so
 /// the context a packet carries always names its causal parent at the next
-/// hop. All methods are no-ops / return inactive contexts when tracing is
-/// compiled out or no hook is installed.
+/// hop. With no hook installed (tracing is off in the session's
+/// ObserverSpec) packets carry inactive contexts and no span is opened.
 class TraceHook {
  public:
   virtual ~TraceHook() = default;

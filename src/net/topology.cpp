@@ -54,14 +54,14 @@ void Topology::add_duplex(NodeId a, NodeId b, LinkSpec ab, LinkSpec ba) {
 void Topology::set_spec(LinkId link, LinkSpec spec) {
   assert(link.valid() && link.index() < edges_.size());
   check_spec(spec);
-  edges_[link.index()].attrs = spec;
+  edges_[link.index()].link = spec;
 }
 
 void Topology::set_cost_delay(LinkId link, double cost, Time delay) {
   assert(link.valid() && link.index() < edges_.size());
   assert(cost > 0 && delay >= 0);
-  edges_[link.index()].attrs.cost = cost;
-  edges_[link.index()].attrs.delay = delay;
+  edges_[link.index()].link.cost = cost;
+  edges_[link.index()].link.delay = delay;
 }
 
 void Topology::set_link_up(LinkId link, bool up) {

@@ -90,7 +90,7 @@ class Topology {
   struct Edge {
     NodeId from;
     NodeId to;
-    LinkSpec attrs;  ///< historical name; full LinkSpec since the redesign
+    LinkSpec link;   ///< this direction's cost, delay, capacity and queue
     bool up = true;  ///< a down edge forwards nothing and carries no routes
     LinkId reverse = kNoLink;  ///< see Topology::reverse()
   };

@@ -5,11 +5,11 @@
 namespace hbh::routing {
 
 MetricFn cost_metric() {
-  return [](const net::Topology::Edge& e) { return e.attrs.cost; };
+  return [](const net::Topology::Edge& e) { return e.link.cost; };
 }
 
 MetricFn delay_metric() {
-  return [](const net::Topology::Edge& e) { return e.attrs.delay; };
+  return [](const net::Topology::Edge& e) { return e.link.delay; };
 }
 
 void link_weights(const net::Topology& topo, const MetricFn& metric,
@@ -62,7 +62,7 @@ void dijkstra_into(const net::Topology& topo, NodeId root,
       if (candidate < out.dist[v]) {
         out.dist[v] = candidate;
         out.parent_link[v] = l;
-        out.delay[v] = out.delay[top.node] + e.attrs.delay;
+        out.delay[v] = out.delay[top.node] + e.link.delay;
         out.first_link[v] = at_root ? l : out.first_link[top.node];
         frontier.push(QEntry{key_bits(candidate), order++,
                              static_cast<std::uint32_t>(v)});

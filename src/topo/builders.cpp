@@ -110,7 +110,7 @@ void symmetrize_costs(net::Topology& topo) {
     const auto& e = topo.edge(LinkId{i});
     const auto rev = topo.find_link(e.to, e.from);
     if (rev.has_value() && rev->index() > i) {
-      topo.set_cost_delay(*rev, e.attrs.cost, e.attrs.delay);
+      topo.set_cost_delay(*rev, e.link.cost, e.link.delay);
     }
   }
 }
@@ -125,7 +125,7 @@ void apply_backbone_capacity(net::Topology& topo, double capacity,
       continue;
     }
     topo.set_spec(LinkId{i},
-                  e.attrs.with_capacity(capacity).with_queue(queue_limit, aqm));
+                  e.link.with_capacity(capacity).with_queue(queue_limit, aqm));
   }
 }
 

@@ -2,8 +2,29 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <initializer_list>
+#include <stdexcept>
 
 namespace hbh {
+namespace {
+
+/// A name-valued knob: `fallback` when unset or empty, else exactly one of
+/// `accepted`; any other value throws.
+std::string env_choice(std::string_view name,
+                       std::initializer_list<std::string_view> accepted,
+                       std::string_view fallback) {
+  std::string value = env_str_or(name, "");
+  if (value.empty()) return std::string{fallback};
+  std::string valid;
+  for (const std::string_view a : accepted) {
+    if (value == a) return value;
+    valid.append(valid.empty() ? "" : ", ").append(a);
+  }
+  throw std::invalid_argument(std::string{name} + "=" + value +
+                              ": accepted values are " + valid);
+}
+
+}  // namespace
 
 std::optional<std::int64_t> env_int(std::string_view name) {
   const std::string key{name};
@@ -61,7 +82,10 @@ std::string env_trace_out() { return env_str_or("HBH_TRACE_OUT", ""); }
 
 std::string env_prof_out() { return env_str_or("HBH_PROF_OUT", ""); }
 
-std::string env_log_level() { return env_str_or("HBH_LOG_LEVEL", ""); }
+std::string env_log_level() {
+  return env_choice("HBH_LOG_LEVEL",
+                    {"trace", "debug", "info", "warn", "error"}, "");
+}
 
 std::size_t env_channels(std::size_t fallback) {
   const std::int64_t v =
@@ -95,11 +119,11 @@ std::size_t env_queue_limit(std::size_t fallback) {
 }
 
 std::string env_aqm(std::string_view fallback) {
-  return env_str_or("HBH_AQM", fallback);
+  return env_choice("HBH_AQM", {"droptail", "red"}, fallback);
 }
 
 std::string env_audit() {
-  std::string v = env_str_or("HBH_AUDIT", "");
+  std::string v = env_choice("HBH_AUDIT", {"0", "off", "1", "strict"}, "");
   if (v == "0" || v == "off") return "";
   return v;
 }

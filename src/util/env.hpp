@@ -8,7 +8,10 @@
 // Every HBH_* knob the repository reads goes through one of the named
 // accessors below, so this header doubles as the authoritative knob list
 // (mirrored in README "Environment knobs"). Adding a knob means adding an
-// accessor here, not sprinkling another getenv call.
+// accessor here, not sprinkling another getenv call. A name-valued knob
+// accepts exactly its documented names: any other value throws
+// std::invalid_argument naming the variable and the accepted values, so a
+// misspelt knob cannot silently weaken a check or change a workload.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +58,7 @@ namespace hbh {
 /// observed cell's HBH trial (schema hbh.trace/v1); empty = no trace.
 [[nodiscard]] std::string env_trace_out();
 
-/// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v3 phase-profile
+/// HBH_PROF_OUT — path for a standalone hbh.perf_profile/v4 phase-profile
 /// JSON of the whole process (docs/OBSERVABILITY.md "Phase profiling");
 /// empty = no profile file.
 [[nodiscard]] std::string env_prof_out();
@@ -84,13 +87,13 @@ namespace hbh {
 [[nodiscard]] std::size_t env_queue_limit(std::size_t fallback);
 
 /// HBH_AQM — queue discipline for capacitated links: "droptail" | "red"
-/// (net::aqm_from_string); malformed values keep the fallback.
+/// (net::aqm_from_string).
 [[nodiscard]] std::string env_aqm(std::string_view fallback = "droptail");
 
 /// HBH_AUDIT — forwarding-plane invariant auditor mode: unset/"0"/"off" =
-/// disabled, "strict" = anomalies abort the run, anything else (e.g. "1",
-/// "record") = anomalies are recorded only (docs/OBSERVABILITY.md
-/// "Forwarding-plane invariant auditor").
+/// disabled (returns ""), "1" = anomalies are recorded only, "strict" =
+/// anomalies abort the run (docs/OBSERVABILITY.md "Forwarding-plane
+/// invariant auditor").
 [[nodiscard]] std::string env_audit();
 
 /// HBH_AUDIT_OUT — path for a deterministic NDJSON anomaly-event stream

@@ -78,9 +78,7 @@ std::optional<LogLevel> log_level_from_string(std::string_view name) {
 }
 
 void init_log_level_from_env() {
-  const std::string raw = env_log_level();
-  if (raw.empty()) return;
-  if (const auto level = log_level_from_string(raw)) {
+  if (const auto level = log_level_from_string(env_log_level())) {
     Logger::instance().set_level(*level);
   }
 }

@@ -88,8 +88,9 @@ class ScopedLogTime {
 [[nodiscard]] std::optional<LogLevel> log_level_from_string(
     std::string_view name);
 
-/// Applies the HBH_LOG_LEVEL environment variable if set and valid — how
-/// the unattended bench binaries raise verbosity without a rebuild.
+/// Applies the HBH_LOG_LEVEL environment variable if set — how the
+/// unattended bench binaries raise verbosity without a rebuild. A name
+/// other than the five levels throws std::invalid_argument (util/env.hpp).
 void init_log_level_from_env();
 
 namespace detail {

@@ -1,5 +1,5 @@
-// Phase profiler: RAII nested scopes attributing wall-clock time (and,
-// opt-in, heap allocations) to named phases of a run.
+// Phase profiler: RAII nested scopes attributing wall-clock time to named
+// phases of a run.
 //
 // The profiler lives in util so every layer — routing (SPF), sim, mcast
 // (tree rounds, refresh, data fan-out), harness — can drop an HBH_PHASE
@@ -11,14 +11,13 @@
 //  1. Determinism. Phase *counts* are a function of the simulation only,
 //     so aggregating per-protocol across TrialPool workers must yield
 //     byte-identical counts at any HBH_JOBS. All stats are unsigned
-//     integers (enter count, nanoseconds, allocations) merged by addition,
+//     integers (enter count, nanoseconds) merged by addition,
 //     which commutes — merge order across workers cannot change a sum.
 //     Timings naturally differ run to run and are excluded from the
 //     repo's byte-identity checks (docs/OBSERVABILITY.md).
 //  2. Zero cost when idle. A scope first checks the calling thread's
 //     installed profiler; with none installed the constructor is a single
-//     thread-local load and branch. Under -DHBH_NO_TELEMETRY=ON the macro
-//     expands to nothing and the classes compile to empty shells.
+//     thread-local load and branch.
 //  3. No locks on the hot path. A PhaseProfiler is thread-confined (one
 //     per trial, like Session); only PhaseAggregator::merge — once per
 //     trial — takes a mutex.
@@ -39,35 +38,15 @@
 
 namespace hbh::prof {
 
-/// True when the profiler is compiled in (mirrors metrics::kTelemetryCompiled;
-/// duplicated here to keep util dependency-free).
-#ifdef HBH_NO_TELEMETRY
-inline constexpr bool kProfilerCompiled = false;
-#else
-inline constexpr bool kProfilerCompiled = true;
-#endif
-
-/// True when global operator new/delete are instrumented (-DHBH_PROF_ALLOC=ON):
-/// phase stats then carry per-phase allocation/byte deltas.
-#ifdef HBH_PROF_ALLOC
-inline constexpr bool kAllocCountingCompiled = true;
-#else
-inline constexpr bool kAllocCountingCompiled = false;
-#endif
-
 /// Everything recorded about one phase path. All fields are integers and
 /// merge by addition, keeping aggregated values order-independent.
 struct PhaseStats {
-  std::uint64_t count = 0;        ///< scope enters
-  std::uint64_t wall_ns = 0;      ///< wall-clock time inside the scope
-  std::uint64_t allocs = 0;       ///< heap allocations (HBH_PROF_ALLOC only)
-  std::uint64_t alloc_bytes = 0;  ///< bytes requested (HBH_PROF_ALLOC only)
+  std::uint64_t count = 0;    ///< scope enters
+  std::uint64_t wall_ns = 0;  ///< wall-clock time inside the scope
 
   void merge(const PhaseStats& o) noexcept {
     count += o.count;
     wall_ns += o.wall_ns;
-    allocs += o.allocs;
-    alloc_bytes += o.alloc_bytes;
   }
 };
 
@@ -97,8 +76,6 @@ class PhaseProfiler {
   struct Frame {
     std::size_t parent_path_len;  ///< path_ length before this frame
     std::uint64_t wall0;
-    std::uint64_t allocs0;
-    std::uint64_t alloc_bytes0;
   };
 
   PhaseMap phases_;
@@ -128,7 +105,7 @@ class ScopedProfiler {
 class PhaseScope {
  public:
   explicit PhaseScope(const char* name) noexcept
-      : prof_(kProfilerCompiled ? current_profiler() : nullptr) {
+      : prof_(current_profiler()) {
     if (prof_ != nullptr) prof_->enter(name);
   }
   ~PhaseScope() {
@@ -169,22 +146,10 @@ class PhaseAggregator {
 /// platform offers no getrusage).
 [[nodiscard]] std::uint64_t peak_rss_bytes() noexcept;
 
-/// The calling thread's running allocation totals (monotonic; all zero
-/// unless built with -DHBH_PROF_ALLOC=ON).
-struct AllocCounters {
-  std::uint64_t allocs = 0;
-  std::uint64_t bytes = 0;
-};
-[[nodiscard]] AllocCounters thread_alloc_counters() noexcept;
-
-#ifdef HBH_NO_TELEMETRY
-#define HBH_PHASE(name) ((void)0)
-#else
 #define HBH_PROF_CAT2(a, b) a##b
 #define HBH_PROF_CAT(a, b) HBH_PROF_CAT2(a, b)
 /// Opens a phase scope for the rest of the enclosing block.
 #define HBH_PHASE(name) \
   ::hbh::prof::PhaseScope HBH_PROF_CAT(hbh_phase_scope_, __LINE__) { name }
-#endif
 
 }  // namespace hbh::prof

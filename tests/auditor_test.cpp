@@ -16,7 +16,6 @@
 #include "harness/session.hpp"
 #include "mcast/hbh/router.hpp"
 #include "metrics/auditor.hpp"
-#include "metrics/registry.hpp"
 #include "net/network.hpp"
 #include "topo/builders.hpp"
 #include "topo/isp.hpp"
@@ -75,7 +74,6 @@ TEST(AuditorCleanRunTest, NdjsonStreamIsByteIdenticalAcrossRuns) {
 }
 
 TEST(AuditorTruePositiveTest, InjectedDuplicationRaisesDuplicateDelivery) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // The far receiver's access link duplicates every delivery. The last hop
   // is past any branch point, so the router-side replication guard cannot
   // absorb the extra copy: the host sees the probe twice, which under
@@ -105,7 +103,6 @@ TEST(AuditorTruePositiveTest, InjectedDuplicationRaisesDuplicateDelivery) {
 }
 
 TEST(AuditorTruePositiveTest, StrictModeAbortsOnFirstViolation) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
   Session session{scenario, Protocol::kHbh,
@@ -134,7 +131,6 @@ class BouncingAgent : public net::ProtocolAgent {
 };
 
 TEST(AuditorTruePositiveTest, BouncingRouterRaisesLoop) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // Replace the mid-line router with a bouncer: data ping-pongs on the
   // 0-1 link, re-crossing it with ever lower TTL until exhaustion. Both
   // loop detectors (TTL regression, ttl-expired drop) see it; no
@@ -154,7 +150,6 @@ TEST(AuditorTruePositiveTest, BouncingRouterRaisesLoop) {
 }
 
 TEST(AuditorTruePositiveTest, CrashedPimRouterRaisesBlackHole) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // PIM data is group-addressed: a crashed router (unicast-only forwarder
   // after the crash) cannot route it, so the subtree behind it starves.
   // Three spaced emissions past the starvation window are the evidence.
@@ -207,7 +202,6 @@ TEST(AuditorTruePositiveTest, CrashedPimRouterRaisesBlackHole) {
 }
 
 TEST(AuditorTruePositiveTest, ForcedOrphanEntryRaisesSoftStateLeak) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // Everyone leaves; long after t1 + t2 + slack a table entry is forcibly
   // re-refreshed (mutable_state is the fault-seeding backdoor). The sweep
   // must flag it: nothing legitimate can be keeping it alive.
@@ -251,7 +245,6 @@ TEST(AuditorTruePositiveTest, ForcedOrphanEntryRaisesSoftStateLeak) {
 }
 
 TEST(AuditorTruePositiveTest, NdjsonCarriesTheSeededAnomaly) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   auto scenario = topo::attach_hosts(
       topo::make_line(3), {NodeId{0}, NodeId{1}, NodeId{2}}, 0);
   Session session{scenario, Protocol::kHbh, {.observe = {.audit = true}}};

@@ -15,7 +15,6 @@
 
 #include "harness/experiment.hpp"
 #include "metrics/json_parse.hpp"
-#include "metrics/registry.hpp"
 #include "topo/isp.hpp"
 
 namespace hbh::harness {
@@ -344,7 +343,6 @@ void duplicate_access_links(Session& session) {
 }
 
 TEST(ExperimentTest, ObservedAuditStreamCarriesSeededViolations) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const ExperimentSpec spec = tiny_spec();
   ArtifactPaths paths;
   paths.audit = testing::TempDir() + "observed_audit.ndjson";

@@ -208,7 +208,7 @@ NodeId reference_delay_aware_rp(const routing::UnicastRouting& routes,
       const std::vector<NodeId> up = routes.path(other, candidate);
       Time delay = 0;
       for (std::size_t i = 0; i + 1 < up.size(); ++i) {
-        delay += topo.edge(*topo.find_link(up[i + 1], up[i])).attrs.delay;
+        delay += topo.edge(*topo.find_link(up[i + 1], up[i])).link.delay;
       }
       down += delay;
       ++n;

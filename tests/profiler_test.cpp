@@ -1,6 +1,6 @@
 // Performance observatory: phase profiler semantics (nesting, merge,
-// jobs-invariance, the HBH_NO_TELEMETRY kill switch) and the JSON parser
-// behind tools/report_scrub.
+// jobs-invariance, the v4 JSON layout) and the JSON parser behind
+// tools/report_scrub.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,12 +26,6 @@ TEST(PhaseProfiler, NestedScopesRecordSlashJoinedPaths) {
     { prof::PhaseScope inner{"inner"}; }
     { prof::PhaseScope inner{"inner"}; }
   }
-  if (!prof::kProfilerCompiled) {
-    // Kill switch: with -DHBH_NO_TELEMETRY=ON even direct PhaseScope use
-    // must record nothing.
-    EXPECT_TRUE(profiler.phases().empty());
-    return;
-  }
   ASSERT_EQ(profiler.phases().size(), 2u);
   const prof::PhaseStats& outer = profiler.phases().at("outer");
   const prof::PhaseStats& inner = profiler.phases().at("outer/inner");
@@ -43,7 +37,6 @@ TEST(PhaseProfiler, NestedScopesRecordSlashJoinedPaths) {
 }
 
 TEST(PhaseProfiler, ScopedProfilerRestoresPreviousSink) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
   prof::PhaseProfiler a;
   prof::PhaseProfiler b;
   {
@@ -67,7 +60,6 @@ TEST(PhaseProfiler, ScopeWithoutInstalledProfilerIsANoOp) {
 }
 
 TEST(PhaseAggregator, MergeAddsCountsPerLabel) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
   prof::PhaseAggregator agg;
   prof::PhaseProfiler p1;
   prof::PhaseProfiler p2;
@@ -116,7 +108,6 @@ std::map<std::string, std::uint64_t> run_all_phase_counts(
 // aggregated across the trial pool are identical for any worker count
 // (merge order commutes; only wall/CPU timings vary).
 TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
   harness::ExperimentSpec spec;
   spec.topology = harness::TopoKind::kIsp;
   spec.group_sizes = {4, 8};
@@ -135,7 +126,6 @@ TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariant) {
 // protocols share one SPF table: which protocol builds a tree depends only
 // on the fixed in-cell order, never on which worker ran the cell.
 TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariantOnRandom50) {
-  if (!prof::kProfilerCompiled) GTEST_SKIP() << "profiler compiled out";
   harness::ExperimentSpec spec;
   spec.topology = harness::TopoKind::kRandom50;
   spec.group_sizes = {5, 15};
@@ -153,8 +143,7 @@ TEST(PhaseProfiler, RunAllPhaseCountsAreJobsInvariantOnRandom50) {
 
 TEST(PerfProfileJson, WritesSchemaAndPhases) {
   prof::PhaseMap phases;
-  phases["warmup"] = prof::PhaseStats{.count = 3, .wall_ns = 500,
-                                      .allocs = 7, .alloc_bytes = 96};
+  phases["warmup"] = prof::PhaseStats{.count = 3, .wall_ns = 500};
   std::ostringstream out;
   metrics::JsonWriter w{out};
   metrics::write_perf_profile(w, phases);
@@ -167,20 +156,24 @@ TEST(PerfProfileJson, WritesSchemaAndPhases) {
   ASSERT_TRUE(metrics::parse_json(doc, parsed, &error)) << error;
   const metrics::JsonValue* schema = parsed.find("schema");
   ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->string, "hbh.perf_profile/v3");
-  // v3 layout: a phase object carries exactly these members, in this order.
+  EXPECT_EQ(schema->string, "hbh.perf_profile/v4");
+  // v4 layout: a phase object carries exactly these members, in this order.
   const metrics::JsonValue* warmup = parsed.find("phases", "warmup");
   ASSERT_NE(warmup, nullptr);
   ASSERT_TRUE(warmup->is_object());
   const std::vector<std::pair<std::string, double>> expected = {
-      {"count", 3.0}, {"wall_ns", 500.0}, {"allocs", 7.0},
-      {"alloc_bytes", 96.0}};
+      {"count", 3.0}, {"wall_ns", 500.0}};
   std::vector<std::pair<std::string, double>> members;
   for (const auto& [key, value] : warmup->object) {
     ASSERT_TRUE(value.is_number()) << key;
     members.emplace_back(key, value.number);
   }
   EXPECT_EQ(members, expected);
+  // ...and the resources object only the process's peak RSS.
+  const metrics::JsonValue* resources = parsed.find("resources");
+  ASSERT_NE(resources, nullptr);
+  ASSERT_EQ(resources->object.size(), 1u);
+  EXPECT_EQ(resources->object.front().first, "peak_rss_bytes");
 }
 
 TEST(JsonParse, ParsesNestedDocumentsAndEscapes) {

@@ -108,7 +108,7 @@ TEST_P(RoutingProperties, PathDelayEqualsEdgeDelaySum) {
     for (std::size_t k = 0; k + 1 < path.size(); ++k) {
       const auto link = t.find_link(path[k], path[k + 1]);
       ASSERT_TRUE(link.has_value());
-      sum += t.edge(*link).attrs.delay;
+      sum += t.edge(*link).link.delay;
     }
     EXPECT_DOUBLE_EQ(sum, routes.path_delay(from, to));
   }
@@ -205,12 +205,12 @@ ReferenceSpf reference_dijkstra(const net::Topology& t, NodeId root) {
       const auto& e = t.edge(l);
       if (!e.up) continue;
       const std::size_t v = e.to.index();
-      const double candidate = out.dist[top.node] + e.attrs.cost;
+      const double candidate = out.dist[top.node] + e.link.cost;
       if (candidate < out.dist[v]) {
         out.dist[v] = candidate;
         out.parent[v] = u;
         out.parent_link[v] = l;
-        out.delay[v] = out.delay[top.node] + e.attrs.delay;
+        out.delay[v] = out.delay[top.node] + e.link.delay;
         out.first_hop[v] = (u == root) ? e.to : out.first_hop[top.node];
         out.first_link[v] = (u == root) ? l : out.first_link[top.node];
         frontier.push(Item{candidate, order++, static_cast<std::uint32_t>(v)});

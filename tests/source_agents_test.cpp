@@ -229,7 +229,7 @@ TEST(RpPolicyTest, DelayAwareNeverWorseOnExpectedSmDelay) {
         Time d = 0;
         for (std::size_t i = 0; i + 1 < up.size(); ++i) {
           const auto link = scenario.topo.find_link(up[i + 1], up[i]);
-          d += scenario.topo.edge(*link).attrs.delay;
+          d += scenario.topo.edge(*link).link.delay;
         }
         down += d;
         ++n;

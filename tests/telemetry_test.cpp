@@ -164,10 +164,6 @@ TEST(RegistryTest, CounterAccumulates) {
   metrics::Counter& c = reg.counter("x");
   c.inc();
   c.inc(4);
-  if (!metrics::kTelemetryCompiled) {
-    EXPECT_EQ(c.value(), 0u);  // compiled out: updates are no-ops
-    return;
-  }
   EXPECT_EQ(c.value(), 5u);
 }
 
@@ -181,35 +177,12 @@ TEST(RegistryTest, SameNameReturnsSameMetric) {
   EXPECT_EQ(reg.counters().size(), 1u);
 }
 
-TEST(RegistryTest, DisabledRegistryIgnoresUpdates) {
-  Registry reg;
-  metrics::Counter& c = reg.counter("x");
-  metrics::Gauge& g = reg.gauge("g");
-  metrics::Histogram& h = reg.histogram("h", {10});
-  reg.set_enabled(false);
-  c.inc();
-  g.set(7);
-  g.add(1);
-  h.observe(3);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  reg.set_enabled(true);
-  c.inc();
-  if (!metrics::kTelemetryCompiled) {
-    EXPECT_EQ(c.value(), 0u);  // compiled out: enabling changes nothing
-    return;
-  }
-  EXPECT_EQ(c.value(), 1u);
-}
-
 TEST(RegistryTest, GaugeSetAddAndBind) {
   Registry reg;
   metrics::Gauge& g = reg.gauge("g");
   g.set(2.5);
   g.add(0.5);
-  // Compiled out, set/add are no-ops; bound gauges still read through.
-  EXPECT_DOUBLE_EQ(g.value(), metrics::kTelemetryCompiled ? 3.0 : 0.0);
+  EXPECT_DOUBLE_EQ(g.value(), 3.0);
   double source = 10;
   reg.bind_gauge("bound", [&source] { return source; });
   EXPECT_DOUBLE_EQ(reg.gauge("bound").value(), 10.0);
@@ -224,12 +197,6 @@ TEST(RegistryTest, HistogramBucketsSumAndOverflow) {
   h.observe(2);    // bucket 1 (<= 2)
   h.observe(100);  // overflow bucket
   ASSERT_EQ(h.counts().size(), 4u);
-  if (!metrics::kTelemetryCompiled) {
-    // Compiled out: observations are no-ops.
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.counts()[3], 0u);
-    return;
-  }
   EXPECT_EQ(h.counts()[0], 1u);
   EXPECT_EQ(h.counts()[1], 1u);
   EXPECT_EQ(h.counts()[2], 0u);
@@ -240,7 +207,6 @@ TEST(RegistryTest, HistogramBucketsSumAndOverflow) {
 }
 
 TEST(RegistryTest, HistogramQuantilesInterpolateWithinBuckets) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Registry reg;
   metrics::Histogram& h = reg.histogram("h", {10, 20, 40});
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty histogram
@@ -255,7 +221,6 @@ TEST(RegistryTest, HistogramQuantilesInterpolateWithinBuckets) {
 }
 
 TEST(RegistryTest, HistogramQuantileOverflowClampsToLastBound) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Registry reg;
   metrics::Histogram& h = reg.histogram("h", {1, 2});
   h.observe(1000);  // overflow bucket: upper edge unknown
@@ -337,7 +302,6 @@ TEST(StateSamplerTest, MaxSamplesBoundsMemory) {
 }
 
 TEST(NetworkStatsTapTest, CountsPerTypeBytesAndDrops) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Registry reg;
   metrics::NetworkStatsTap tap{reg};
   const auto e = edge(0, 1);
@@ -395,7 +359,6 @@ class DropCounterTest : public ::testing::Test {
 };
 
 TEST_F(DropCounterTest, TtlExpiredCountsExactly) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // ttl=1 buys exactly one hop: node 1's forward finds ttl 0 and drops.
   net::Packet p = data_to(NodeId{3});
   p.ttl = 1;
@@ -407,7 +370,6 @@ TEST_F(DropCounterTest, TtlExpiredCountsExactly) {
 }
 
 TEST_F(DropCounterTest, SeededLossDropsEveryCopyOnTheImpairedLink) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // loss=1.0 makes the seeded plan deterministic outright: every copy
   // entering link 1->2 is dropped as "loss" at node 1, after crossing
   // 0->1 intact.
@@ -426,7 +388,6 @@ TEST_F(DropCounterTest, SeededLossDropsEveryCopyOnTheImpairedLink) {
 }
 
 TEST_F(DropCounterTest, BlackholeWindowDropsAsLinkDown) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // A blackhole window is an impairment the IGP never sees: routing still
   // points through 0->1, so both sends die there as "link-down".
   net::Impairment blackhole;
@@ -441,7 +402,6 @@ TEST_F(DropCounterTest, BlackholeWindowDropsAsLinkDown) {
 }
 
 TEST(NetworkStatsTapTest, QueueAndRedDropsLandInDistinctCounters) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // A capacitated link: a 5-burst into a limit-4 queue yields exactly one
   // "queue-full"; a RED link under sustained 2x overload yields "red-early"
   // drops. The two reasons must never share a counter.
@@ -528,7 +488,6 @@ class SessionTelemetryTest : public ::testing::Test {
 };
 
 TEST_F(SessionTelemetryTest, GaugesAndTapsTrackTheRun) {
-  if (!metrics::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const harness::Measurement m = session_->measure();
   EXPECT_TRUE(m.delivered_exactly_once());
 

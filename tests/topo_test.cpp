@@ -74,7 +74,7 @@ TEST(BuildersTest, RandomizeCostsStaysInRangeWithDelayEqualCost) {
   Rng rng{17};
   randomize_costs(t, rng);
   for (std::uint32_t i = 0; i < t.link_count(); ++i) {
-    const auto& a = t.edge(LinkId{i}).attrs;
+    const auto& a = t.edge(LinkId{i}).link;
     EXPECT_GE(a.cost, 1.0);
     EXPECT_LE(a.cost, 10.0);
     EXPECT_DOUBLE_EQ(a.cost, a.delay);
@@ -90,8 +90,8 @@ TEST(BuildersTest, RandomizeCostsIsSeedDeterministic) {
   randomize_costs(t1, r1);
   randomize_costs(t2, r2);
   for (std::uint32_t i = 0; i < t1.link_count(); ++i) {
-    EXPECT_DOUBLE_EQ(t1.edge(LinkId{i}).attrs.cost,
-                     t2.edge(LinkId{i}).attrs.cost);
+    EXPECT_DOUBLE_EQ(t1.edge(LinkId{i}).link.cost,
+                     t2.edge(LinkId{i}).link.cost);
   }
 }
 
@@ -104,7 +104,7 @@ TEST(BuildersTest, RandomCostsProduceAsymmetry) {
     const auto& e = t.edge(LinkId{i});
     const auto rev = t.find_link(e.to, e.from);
     ASSERT_TRUE(rev.has_value());
-    if (t.edge(*rev).attrs.cost != e.attrs.cost) any_skew = true;
+    if (t.edge(*rev).link.cost != e.link.cost) any_skew = true;
   }
   EXPECT_TRUE(any_skew);
 }
@@ -118,7 +118,7 @@ TEST(BuildersTest, SymmetrizeCostsRemovesSkew) {
     const auto& e = t.edge(LinkId{i});
     const auto rev = t.find_link(e.to, e.from);
     ASSERT_TRUE(rev.has_value());
-    EXPECT_DOUBLE_EQ(t.edge(*rev).attrs.cost, e.attrs.cost);
+    EXPECT_DOUBLE_EQ(t.edge(*rev).link.cost, e.link.cost);
   }
 }
 

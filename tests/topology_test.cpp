@@ -35,8 +35,8 @@ TEST(TopologyTest, DirectedLinkAttributesAreIndependent) {
   const auto ab = t.find_link(a, b);
   const auto ba = t.find_link(b, a);
   ASSERT_TRUE(ab && ba);
-  EXPECT_DOUBLE_EQ(t.edge(*ab).attrs.cost, 3.0);
-  EXPECT_DOUBLE_EQ(t.edge(*ba).attrs.cost, 7.0);
+  EXPECT_DOUBLE_EQ(t.edge(*ab).link.cost, 3.0);
+  EXPECT_DOUBLE_EQ(t.edge(*ba).link.cost, 7.0);
 }
 
 TEST(TopologyTest, FindLinkIsDirectional) {
@@ -80,8 +80,8 @@ TEST(TopologyTest, SetSpecReplaces) {
   const NodeId b = t.add_node();
   const LinkId l = t.add_link(a, b, LinkSpec{});
   t.set_spec(l, LinkSpec{.cost = 9, .delay = 4});
-  EXPECT_DOUBLE_EQ(t.edge(l).attrs.cost, 9.0);
-  EXPECT_DOUBLE_EQ(t.edge(l).attrs.delay, 4.0);
+  EXPECT_DOUBLE_EQ(t.edge(l).link.cost, 9.0);
+  EXPECT_DOUBLE_EQ(t.edge(l).link.delay, 4.0);
 }
 
 TEST(TopologyTest, NodesOfKindFilters) {

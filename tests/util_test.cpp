@@ -3,6 +3,8 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "util/env.hpp"
@@ -321,6 +323,67 @@ TEST(EnvTest, StringDefaults) {
   EXPECT_EQ(env_str_or("HBH_TEST_STR", "zzz"), "abc");
   ::unsetenv("HBH_TEST_STR");
   EXPECT_EQ(env_str_or("HBH_TEST_STR", "zzz"), "zzz");
+}
+
+// The error a name-valued knob raises for `value`, or "" if it accepted it.
+template <typename Read>
+std::string knob_error(const char* name, const char* value, Read read) {
+  ::setenv(name, value, 1);
+  std::string error;
+  try {
+    (void)read();
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  ::unsetenv(name);
+  return error;
+}
+
+TEST(EnvTest, AuditAcceptsExactlyItsDocumentedModes) {
+  EXPECT_EQ(env_audit(), "");
+  for (const char* off : {"0", "off"}) {
+    ::setenv("HBH_AUDIT", off, 1);
+    EXPECT_EQ(env_audit(), "") << off;
+  }
+  ::setenv("HBH_AUDIT", "1", 1);
+  EXPECT_EQ(env_audit(), "1");
+  ::setenv("HBH_AUDIT", "strict", 1);
+  EXPECT_EQ(env_audit(), "strict");
+  ::unsetenv("HBH_AUDIT");
+  // A misspelt "strict" must not fall back to record mode.
+  const std::string error = knob_error("HBH_AUDIT", "Strict", env_audit);
+  EXPECT_NE(error.find("HBH_AUDIT=Strict"), std::string::npos) << error;
+  EXPECT_NE(error.find("0, off, 1, strict"), std::string::npos) << error;
+  EXPECT_NE(knob_error("HBH_AUDIT", "record", env_audit), "");
+}
+
+TEST(EnvTest, AqmAcceptsExactlyItsDocumentedPolicies) {
+  EXPECT_EQ(env_aqm(), "droptail");
+  ::setenv("HBH_AQM", "red", 1);
+  EXPECT_EQ(env_aqm(), "red");
+  ::setenv("HBH_AQM", "droptail", 1);
+  EXPECT_EQ(env_aqm(), "droptail");
+  ::unsetenv("HBH_AQM");
+  // "RED" must not silently run drop-tail.
+  const std::string error =
+      knob_error("HBH_AQM", "RED", [] { return env_aqm(); });
+  EXPECT_NE(error.find("HBH_AQM=RED"), std::string::npos) << error;
+  EXPECT_NE(error.find("droptail, red"), std::string::npos) << error;
+}
+
+TEST(EnvTest, LogLevelAcceptsExactlyTheFiveLevelNames) {
+  const LogLevel before = Logger::instance().level();
+  for (const char* level : {"trace", "debug", "info", "warn", "error"}) {
+    ::setenv("HBH_LOG_LEVEL", level, 1);
+    EXPECT_EQ(env_log_level(), level);
+  }
+  ::unsetenv("HBH_LOG_LEVEL");
+  const std::string error =
+      knob_error("HBH_LOG_LEVEL", "verbose", init_log_level_from_env);
+  EXPECT_NE(error.find("HBH_LOG_LEVEL=verbose"), std::string::npos) << error;
+  EXPECT_NE(error.find("trace, debug, info, warn, error"), std::string::npos)
+      << error;
+  EXPECT_EQ(Logger::instance().level(), before);
 }
 
 }  // namespace

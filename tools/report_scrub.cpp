@@ -5,8 +5,6 @@
 // Dropped members, at any nesting depth:
 //   * wall-clock and host-load fields: wall_seconds, wall_ns,
 //     peak_rss_bytes, audit_wall_seconds
-//   * allocator counters (allocs, alloc_bytes): they depend on the build
-//     and the allocator, not on what the simulation did
 //
 // Everything else — packet counts, phase counts, drop reasons,
 // per-receiver delays, tree metrics — must match exactly.
@@ -28,8 +26,10 @@ using hbh::metrics::JsonWriter;
 
 bool scrubbed_key(std::string_view key) {
   static constexpr std::string_view kDropped[] = {
-      "wall_seconds", "wall_ns",     "peak_rss_bytes",
-      "allocs",       "alloc_bytes", "audit_wall_seconds",
+      "wall_seconds",
+      "wall_ns",
+      "peak_rss_bytes",
+      "audit_wall_seconds",
   };
   for (const std::string_view k : kDropped) {
     if (key == k) return true;
