@@ -44,6 +44,10 @@ struct DataplaneRun {
   std::uint64_t queued_packets = 0;   ///< egress-queue admissions
   std::uint64_t drops_queue_full = 0;
   std::uint64_t drops_red = 0;
+  /// Packets left in the fabric's pool once every receiver has left and
+  /// the soft state has expired (after the timed window): 0 unless a
+  /// packet leaked.
+  std::uint64_t packets_live = 0;
   double wall_seconds = 0;
 };
 
@@ -102,6 +106,12 @@ inline DataplaneRun run_dataplane(harness::Protocol protocol,
   run.queued_packets = after.queued_packets - before.queued_packets;
   run.drops_queue_full = after.drops_queue_full - before.drops_queue_full;
   run.drops_red = after.drops_red - before.drops_red;
+
+  // Drain: with every receiver gone, soft state expires within t2 and the
+  // sources stop sending, so the pool must empty.
+  for (const NodeId r : receivers) session.unsubscribe(r);
+  session.run_for(4 * config.timers.t2);
+  run.packets_live = session.network().packets_live();
   return run;
 }
 

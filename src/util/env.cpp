@@ -8,6 +8,13 @@
 namespace hbh {
 namespace {
 
+/// Stops a run on a malformed knob, naming the variable and what it takes.
+[[noreturn]] void reject(std::string_view name, std::string_view value,
+                         std::string_view expected) {
+  throw std::invalid_argument(std::string{name} + "=" + std::string{value} +
+                              ": " + std::string{expected});
+}
+
 /// A name-valued knob: `fallback` when unset or empty, else exactly one of
 /// `accepted`; any other value throws.
 std::string env_choice(std::string_view name,
@@ -20,8 +27,7 @@ std::string env_choice(std::string_view name,
     if (value == a) return value;
     valid.append(valid.empty() ? "" : ", ").append(a);
   }
-  throw std::invalid_argument(std::string{name} + "=" + value +
-                              ": accepted values are " + valid);
+  reject(name, value, "accepted values are " + valid);
 }
 
 }  // namespace
@@ -39,16 +45,21 @@ std::optional<std::int64_t> env_int(std::string_view name) {
 }
 
 std::int64_t env_int_or(std::string_view name, std::int64_t fallback) {
-  return env_int(name).value_or(fallback);
+  const std::string raw = env_str_or(name, "");
+  if (raw.empty()) return fallback;
+  if (const auto value = env_int(name)) return *value;
+  reject(name, raw, "expected an integer");
 }
 
 double env_double_or(std::string_view name, double fallback) {
-  const std::string key{name};
-  const char* raw = std::getenv(key.c_str());
-  if (raw == nullptr || *raw == '\0') return fallback;
+  const std::string raw = env_str_or(name, "");
+  if (raw.empty()) return fallback;
   char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  return (end == raw || *end != '\0') ? fallback : value;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0') {
+    reject(name, raw, "expected a number");
+  }
+  return value;
 }
 
 std::string env_str_or(std::string_view name, std::string_view fallback) {

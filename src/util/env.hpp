@@ -9,9 +9,10 @@
 // accessors below, so this header doubles as the authoritative knob list
 // (mirrored in README "Environment knobs"). Adding a knob means adding an
 // accessor here, not sprinkling another getenv call. A name-valued knob
-// accepts exactly its documented names: any other value throws
-// std::invalid_argument naming the variable and the accepted values, so a
-// misspelt knob cannot silently weaken a check or change a workload.
+// accepts exactly its documented names and a numeric knob exactly one
+// number: any other value throws std::invalid_argument naming the variable
+// and what it accepts, so a misspelt knob cannot silently weaken a check or
+// change a workload.
 #pragma once
 
 #include <cstddef>
@@ -25,11 +26,15 @@ namespace hbh {
 /// Reads an integer environment variable; nullopt if unset or malformed.
 [[nodiscard]] std::optional<std::int64_t> env_int(std::string_view name);
 
-/// Reads an integer environment variable with a default.
+/// Reads an integer environment variable; `fallback` if unset or empty.
+/// Throws std::invalid_argument naming the variable if it is set to
+/// anything but a whole integer (e.g. "2x", "four").
 [[nodiscard]] std::int64_t env_int_or(std::string_view name,
                                       std::int64_t fallback);
 
-/// Reads a floating-point environment variable with a default.
+/// Reads a floating-point environment variable; `fallback` if unset or
+/// empty. Throws std::invalid_argument naming the variable if it is set to
+/// anything but one number.
 [[nodiscard]] double env_double_or(std::string_view name, double fallback);
 
 /// Reads a string environment variable with a default.

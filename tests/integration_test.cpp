@@ -274,6 +274,7 @@ TEST(DataplaneWorkloadTest, CountsMatchThePinnedValues) {
     // The workload's queues never overflow; CongestionTest pins drops.
     EXPECT_EQ(run.drops_queue_full, 0u);
     EXPECT_EQ(run.drops_red, 0u);
+    EXPECT_EQ(run.packets_live, 0u);  // the drained pool leaks nothing
   }
 }
 

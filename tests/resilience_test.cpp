@@ -455,6 +455,11 @@ TEST(CongestionTest, SaturatedBackboneQueuesAndShedsOnEveryProtocol) {
     EXPECT_EQ(c.queued_packets, pinned.at(p).queued) << to_string(p);
     EXPECT_EQ(c.drops_queue_full, pinned.at(p).dropped) << to_string(p);
     EXPECT_EQ(c.drops_red, 0u) << to_string(p);  // drop-tail only
+    // Drained: every receiver leaves, soft state expires, and no packet
+    // (queued, dropped or delivered) may be left in the pool.
+    for (const NodeId r : receivers) ch.unsubscribe(r);
+    session.run_for(4 * SessionConfig{}.timers.t2);
+    EXPECT_EQ(session.network().packets_live(), 0u) << to_string(p);
   }
 }
 

@@ -386,5 +386,52 @@ TEST(EnvTest, LogLevelAcceptsExactlyTheFiveLevelNames) {
   EXPECT_EQ(Logger::instance().level(), before);
 }
 
+TEST(EnvTest, NumericKnobsRejectTyposNamingTheVariable) {
+  // A typo must stop the run, not quietly run the default workload.
+  const std::string trials =
+      knob_error("HBH_TRIALS", "2x", [] { return env_trials(60); });
+  EXPECT_NE(trials.find("HBH_TRIALS=2x"), std::string::npos) << trials;
+  EXPECT_NE(trials.find("expected an integer"), std::string::npos) << trials;
+  const std::string jobs = knob_error("HBH_JOBS", "four", env_jobs);
+  EXPECT_NE(jobs.find("HBH_JOBS=four"), std::string::npos) << jobs;
+  EXPECT_NE(knob_error("HBH_SEED", "7 ", [] { return env_seed(); }), "");
+  EXPECT_NE(knob_error("HBH_CSV", "yes", env_csv), "");
+  EXPECT_NE(knob_error("HBH_CHANNELS", "6four",
+                       [] { return env_channels(64); }),
+            "");
+  EXPECT_NE(knob_error("HBH_PAYLOAD", "64B", [] { return env_payload(64); }),
+            "");
+  EXPECT_NE(knob_error("HBH_QUEUE_LIMIT", "3.5",
+                       [] { return env_queue_limit(32); }),
+            "");
+  const std::string rate =
+      knob_error("HBH_RATE", "2,5", [] { return env_rate(1); });
+  EXPECT_NE(rate.find("HBH_RATE=2,5"), std::string::npos) << rate;
+  EXPECT_NE(rate.find("expected a number"), std::string::npos) << rate;
+  EXPECT_NE(knob_error("HBH_CHURN_ON", "sixty",
+                       [] { return env_churn_on(120); }),
+            "");
+  EXPECT_NE(knob_error("HBH_CHURN_OFF", "60tu",
+                       [] { return env_churn_off(60); }),
+            "");
+}
+
+TEST(EnvTest, NumericKnobsTakeNumbersAndDefaultWhenUnset) {
+  EXPECT_EQ(env_trials(60), 60u);
+  ::setenv("HBH_TRIALS", "12", 1);
+  EXPECT_EQ(env_trials(60), 12u);
+  ::unsetenv("HBH_TRIALS");
+  ::setenv("HBH_RATE", "2.5", 1);
+  EXPECT_DOUBLE_EQ(env_rate(1), 2.5);
+  ::unsetenv("HBH_RATE");
+  EXPECT_DOUBLE_EQ(env_rate(1), 1.0);
+  ::setenv("HBH_CSV", "1", 1);
+  EXPECT_TRUE(env_csv());
+  ::setenv("HBH_CSV", "0", 1);
+  EXPECT_FALSE(env_csv());
+  ::unsetenv("HBH_CSV");
+  EXPECT_FALSE(env_csv());
+}
+
 }  // namespace
 }  // namespace hbh
