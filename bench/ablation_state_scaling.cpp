@@ -14,32 +14,19 @@
 //  * aggregate MCT (control) and MFT/oif (forwarding) entries,
 //  * steady-state control-message transmissions per refresh period.
 //
-// Determinism: trials are paired — the (channel count, trial) pair fully
-// determines topology costs, per-channel receiver sets, and churn
-// scripts, so all four protocols see identical workloads — and the
-// (protocol, channel count, trial) grid fans out across a TrialPool with
-// pre-sized slots and grid-order aggregation, so output is byte-identical
-// for every HBH_JOBS setting.
-#include <chrono>
+// Determinism: each channel count is one harness::run_grid over the same
+// paired cells, and every channel's receiver set and churn script come
+// from the cell's own stream, so all four protocols see identical
+// workloads and the output is byte-identical for every HBH_JOBS setting.
+#include <array>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <utility>
 #include <string>
 #include <vector>
 
+#include "fig_common.hpp"
 #include "harness/churn_plan.hpp"
-#include "harness/experiment.hpp"
-#include "harness/trial_pool.hpp"
-#include "metrics/json.hpp"
-#include "metrics/json_parse.hpp"
-#include "metrics/report.hpp"
-#include "metrics/tracer.hpp"
-#include "topo/random.hpp"
-#include "util/env.hpp"
-#include "util/log.hpp"
 #include "util/profiler.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
 
 using namespace hbh;
 using harness::AggregateCensus;
@@ -48,336 +35,138 @@ using harness::ChurnConfig;
 using harness::ChurnPlan;
 using harness::Protocol;
 using harness::Session;
+using harness::TrialContext;
 
 namespace {
 
-constexpr std::size_t kGroup = 8;   // receivers sampled per channel
-constexpr Time kHorizon = 400;      // churn runs the whole horizon
-constexpr Time kCtlWindow = 100;    // control-overhead sampling window
 
-/// Seed for a (channel count, trial) cell — protocol-independent, so all
-/// four protocols replay the same costs, receiver sets, and churn.
-std::uint64_t cell_seed(std::uint64_t base_seed, std::size_t channels,
-                        std::size_t trial) {
-  std::uint64_t s = base_seed;
-  s ^= 0x9E3779B9u * (channels + 1);
-  s ^= 0x100000001B3ull * (trial + 1);
-  std::uint64_t mix = s;
-  return splitmix64(mix);
-}
+/// One trial's census, a value per report key; the table prints the
+/// columns kPrinted names.
+constexpr std::array<const char*, 10> kKeys{
+    "branching.routers",          "branching.forwarding_entries",
+    "non_branching.routers",      "non_branching.control_entries",
+    "non_branching.forwarding_entries", "rp.routers",
+    "rp.entries",                 "control_entries",
+    "forwarding_entries",         "ctl_msgs_per_period"};
+constexpr std::pair<std::size_t, const char*> kPrinted[] = {
+    {0, "br rtrs"}, {1, "br MFT"},  {2, "non-br rtrs"}, {3, "nb MCT"},
+    {4, "nb MFT"},  {5, "RP rtrs"}, {9, "ctl/period"}};
+constexpr std::size_t kNbMft = 4;  // the paper's claim: 0 for HBH/REUNITE
+using Row = std::array<double, kKeys.size()>;
 
-struct CellResult {
-  AggregateCensus census;
-  double ctl_rate = 0;  ///< control transmissions per refresh period
-};
-
-struct Workload {
-  std::uint64_t base_seed = 20010827;
-  ChurnConfig churn{};
-};
-
-/// Builds the paired-trial session: one network, `channels` channels all
-/// sourced at the scenario's source host, each with its own receiver set
-/// and churn script. `observed` turns telemetry, tracing and audit on.
-std::unique_ptr<Session> make_session(Protocol proto, std::size_t channels,
-                                      std::size_t trial, const Workload& w,
-                                      bool observed) {
-  HBH_PHASE("trial_setup");
-  Rng rng{cell_seed(w.base_seed, channels, trial)};
-  // One fixed random graph per base seed (as the experiment driver does);
-  // per-trial costs are randomized on top.
-  Rng topo_rng{w.base_seed};
-  topo::Scenario scenario = topo::make_random50(topo_rng);
-  topo::randomize_costs(scenario.topo, rng);
-  const std::vector<NodeId> candidates = scenario.candidate_receivers();
-  const NodeId source_host = scenario.source_host;
-
-  auto session = std::make_unique<Session>(
-      std::move(scenario), proto,
-      harness::SessionConfig{.observe = {.telemetry = observed,
-                                         .tracing = observed,
-                                         .audit = observed}});
-  std::vector<ChannelHandle> handles;
-  handles.push_back(session->default_channel());
-  for (std::size_t c = 1; c < channels; ++c) {
-    handles.push_back(session->create_channel(source_host));
-  }
-  for (ChannelHandle& handle : handles) {
-    const std::vector<NodeId> receivers = rng.sample(candidates, kGroup);
-    const std::uint64_t churn_seed = rng.next();
+/// `channels` channels all sourced at the scenario's source host, each
+/// with its own receiver set (the cell's sample for the default channel)
+/// and churn script; the census is taken when churn ends, at spec.warmup,
+/// then control transmissions are counted over spec.drain.
+Row scaling_trial(Session& session, TrialContext& trial, std::size_t channels,
+                  const ChurnConfig& churn) {
+  const std::vector<NodeId> candidates =
+      session.scenario().candidate_receivers();
+  for (std::size_t c = 0; c < channels; ++c) {
+    ChannelHandle handle =
+        c == 0 ? session.default_channel()
+               : session.create_channel(session.scenario().source_host);
+    const std::vector<NodeId> receivers =
+        c == 0 ? trial.receivers
+               : trial.rng.sample(candidates, trial.receivers.size());
     handle.schedule_churn(
-        ChurnPlan::exponential_on_off(receivers, w.churn, churn_seed));
+        ChurnPlan::exponential_on_off(receivers, churn, trial.rng.next()));
   }
-  return session;
-}
-
-/// The report's view of the observed cell (largest channel count, trial 0)
-/// at the end of its churn phase: every section of the report body but
-/// the phase profile, which is complete only once the whole sweep ran;
-/// and its auditor's verdict once the measurement window closed.
-struct ObservedBody {
-  metrics::JsonValue head;  ///< info, numbers, registry, series, trace
-  metrics::ConvergenceSummary convergence;
-  metrics::Auditor auditor;  ///< a copy: the session ends with its run
-};
-
-ObservedBody observe(Session& session, Protocol proto,
-                     std::size_t channels) {
-  metrics::RunReport report;
-  report.registry = session.registry();
-  report.sampler = session.sampler();
-  report.tracer = session.tracer();
-  report.info["protocol"] = std::string(to_string(proto));
-  report.info["topology"] = "random-50";
-  report.numbers["channels"] = static_cast<double>(channels);
-  report.numbers["sim.end_time"] = session.simulator().now();
-  std::ostringstream text;
-  metrics::JsonWriter jw{text, 0};
-  jw.begin_object();
-  report.write_body(jw);
-  jw.end_object();
-  ObservedBody body;
-  (void)metrics::parse_json(text.str(), body.head);
-  body.convergence = metrics::analyze_convergence(session.tracer()->spans());
-  return body;
-}
-
-/// Runs one grid slot. With `observed` set, the slot is the observed cell:
-/// telemetry, tracing and audit ride along (changing no event the
-/// protocols see), the report body is taken once churn ends, before the
-/// measurement window, and the audit verdict after it.
-CellResult run_cell(Protocol proto, std::size_t channels, std::size_t trial,
-                    const Workload& w, ObservedBody* observed) {
-  // Per-trial profiler merged under the protocol label: phase *counts* are
-  // pure simulation outputs, so the aggregate is byte-identical for every
-  // HBH_JOBS setting (merge order commutes; only timings vary).
-  prof::PhaseProfiler profiler;
-  CellResult out;
   {
-    const prof::ScopedProfiler install{profiler};
-    auto session = make_session(proto, channels, trial, w, observed != nullptr);
-    {
-      HBH_PHASE("churn");
-      session->run_for(kHorizon);
-    }
-    if (observed != nullptr) *observed = observe(*session, proto, channels);
-    out.census = session->aggregate_census();
-    const std::uint64_t before =
-        session->network().counters().control_transmissions;
-    {
-      HBH_PHASE("measure");
-      session->run_for(kCtlWindow);
-    }
-    const std::uint64_t after =
-        session->network().counters().control_transmissions;
-    out.ctl_rate = static_cast<double>(after - before) / (kCtlWindow / 10.0);
-    if (observed != nullptr) {
-      session->audit_sweep();
-      observed->auditor = *session->auditor();
-    }
+    HBH_PHASE("churn");
+    session.run_for(trial.spec.warmup);
   }
-  prof::process_profile().merge(to_string(proto), profiler);
-  return out;
+  const AggregateCensus c = session.aggregate_census();
+  const std::uint64_t before =
+      session.network().counters().control_transmissions;
+  {
+    HBH_PHASE("measure");
+    session.run_for(trial.spec.drain);
+  }
+  const std::uint64_t after =
+      session.network().counters().control_transmissions;
+  const auto n = [](std::size_t v) { return static_cast<double>(v); };
+  return {n(c.branching.routers),
+          n(c.branching.forwarding_entries),
+          n(c.non_branching.routers),
+          n(c.non_branching.control_entries),
+          n(c.non_branching.forwarding_entries),
+          n(c.rp.routers),
+          n(c.rp.control_entries + c.rp.forwarding_entries),
+          n(c.totals.control_entries),
+          n(c.totals.forwarding_entries),
+          static_cast<double>(after - before) / (trial.spec.drain / 10.0)};
 }
 
 /// Grid-order aggregate of one (protocol, channel count) cell.
-struct CellStats {
-  std::size_t channels = 0;
-  RunningStats branching_rtrs, branching_fwd;
-  RunningStats nonbr_rtrs, nonbr_ctl, nonbr_fwd;
-  RunningStats rp_rtrs, rp_entries;
-  RunningStats total_ctl, total_fwd, ctl_rate;
-};
-
-CellStats aggregate(std::size_t channels, const CellResult* results,
-                    std::size_t trials) {
-  CellStats s;
-  s.channels = channels;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const AggregateCensus& c = results[t].census;
-    s.branching_rtrs.add(static_cast<double>(c.branching.routers));
-    s.branching_fwd.add(static_cast<double>(c.branching.forwarding_entries));
-    s.nonbr_rtrs.add(static_cast<double>(c.non_branching.routers));
-    s.nonbr_ctl.add(static_cast<double>(c.non_branching.control_entries));
-    s.nonbr_fwd.add(static_cast<double>(c.non_branching.forwarding_entries));
-    s.rp_rtrs.add(static_cast<double>(c.rp.routers));
-    s.rp_entries.add(static_cast<double>(c.rp.control_entries +
-                                         c.rp.forwarding_entries));
-    s.total_ctl.add(static_cast<double>(c.totals.control_entries));
-    s.total_fwd.add(static_cast<double>(c.totals.forwarding_entries));
-    s.ctl_rate.add(results[t].ctl_rate);
-  }
-  return s;
-}
-
-void write_report(const std::string& path,
-                  const std::vector<std::size_t>& channel_counts,
-                  std::size_t trials, const Workload& w,
-                  const std::vector<std::vector<CellStats>>& sweep,
-                  const std::vector<ObservedBody>& observed) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write HBH_REPORT=%s\n", path.c_str());
-    return;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto& protocols = harness::all_protocols();
-
-  metrics::JsonWriter jw(out);
-  jw.begin_object();
-  jw.member("schema", metrics::kRunReportSchema);
-  jw.member("figure", "ablation_state_scaling");
-
-  jw.key("spec");
-  jw.begin_object();
-  jw.member("topology", "random-50");
-  jw.member("trials", static_cast<std::uint64_t>(trials));
-  jw.member("base_seed", w.base_seed);
-  jw.member("group_size", static_cast<std::uint64_t>(kGroup));
-  jw.member("churn_mean_on", w.churn.mean_on);
-  jw.member("churn_mean_off", w.churn.mean_off);
-  jw.member("horizon", kHorizon);
-  jw.key("channel_counts");
-  jw.begin_array();
-  for (const std::size_t n : channel_counts) {
-    jw.value(static_cast<std::uint64_t>(n));
-  }
-  jw.end_array();
-  jw.end_object();
-
-  jw.key("sweep");
-  jw.begin_array();
-  for (std::size_t p = 0; p < protocols.size(); ++p) {
-    jw.begin_object();
-    jw.member("protocol", to_string(protocols[p]));
-    jw.key("cells");
-    jw.begin_array();
-    for (const CellStats& s : sweep[p]) {
-      jw.begin_object();
-      jw.member("channels", static_cast<std::uint64_t>(s.channels));
-      jw.member("branching.routers", s.branching_rtrs.mean());
-      jw.member("branching.forwarding_entries", s.branching_fwd.mean());
-      jw.member("non_branching.routers", s.nonbr_rtrs.mean());
-      jw.member("non_branching.control_entries", s.nonbr_ctl.mean());
-      jw.member("non_branching.forwarding_entries", s.nonbr_fwd.mean());
-      jw.member("rp.routers", s.rp_rtrs.mean());
-      jw.member("rp.entries", s.rp_entries.mean());
-      jw.member("control_entries", s.total_ctl.mean());
-      jw.member("forwarding_entries", s.total_fwd.mean());
-      jw.member("ctl_msgs_per_period", s.ctl_rate.mean());
-      jw.member("trials", static_cast<std::uint64_t>(s.ctl_rate.count()));
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.end_object();
-  }
-  jw.end_array();
-
-  // One instrumented run per protocol: the sweep's own largest channel
-  // count, trial 0 — registry counters (net.tx.* and net.tx_bytes.*), the
-  // per-class state gauges and the sampled time series as they stood when
-  // churn ended, then the sweep's phase profile.
-  jw.key("runs");
-  jw.begin_object();
-  for (std::size_t p = 0; p < protocols.size(); ++p) {
-    const prof::PhaseMap profile =
-        prof::process_profile().snapshot(to_string(protocols[p]));
-    metrics::RunReport tail;
-    tail.profile = &profile;
-    tail.convergence = &observed[p].convergence;
-    jw.key(to_string(protocols[p]));
-    jw.begin_object();
-    for (const auto& [key, value] : observed[p].head.object) {
-      jw.key(key);
-      metrics::write_json(jw, value);
-    }
-    tail.write_body(jw);
-    jw.end_object();
-  }
-  jw.end_object();
-
-  std::vector<metrics::AuditedRun> audited;
-  for (std::size_t p = 0; p < protocols.size(); ++p) {
-    audited.push_back({to_string(protocols[p]), &observed[p].auditor});
-  }
-  metrics::write_anomalies(jw, audited);
-
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
-  jw.member("wall_seconds", wall.count());
-  jw.end_object();
-  out << '\n';
-  std::printf("report: %s\n", path.c_str());
-}
+using CellStats = std::array<RunningStats, kKeys.size()>;
 
 }  // namespace
 
 int main() {
   init_log_level_from_env();
-  const std::size_t trials = env_trials(4);
+  harness::ExperimentSpec spec =
+      bench::spec_from_env(harness::TopoKind::kRandom50, {8}, 4);
+  spec.warmup = 400;  // churn until the census
+  spec.drain = 100;   // then count control transmissions this long
   const std::size_t max_channels = env_channels(64);
-  Workload w;
-  w.base_seed = env_seed();
-  w.churn.mean_on = env_churn_on(120);
-  w.churn.mean_off = env_churn_off(60);
-  w.churn.horizon = kHorizon - 40;  // let the last events settle a little
+  ChurnConfig churn;
+  churn.mean_on = env_churn_on(120);
+  churn.mean_off = env_churn_off(60);
+  churn.horizon = spec.warmup - 40;  // let the last events settle a little
 
-  std::vector<std::size_t> channel_counts;
+  std::vector<double> channel_counts;
   for (std::size_t n = 1; n <= max_channels; n *= 2) {
-    channel_counts.push_back(n);
+    channel_counts.push_back(static_cast<double>(n));
   }
 
   std::printf("=== Ablation: aggregate state vs channel count (random-50) "
               "===\n");
   std::printf("trials=%zu seed=%llu channels up to %zu, %zu receivers per "
               "channel,\nchurn on/off means %.0f/%.0f tu, census at t=%.0f\n\n",
-              trials, static_cast<unsigned long long>(w.base_seed),
-              channel_counts.back(), kGroup, w.churn.mean_on, w.churn.mean_off,
-              static_cast<double>(kHorizon));
+              spec.trials, static_cast<unsigned long long>(spec.base_seed),
+              static_cast<std::size_t>(channel_counts.back()),
+              spec.group_sizes.front(), churn.mean_on, churn.mean_off,
+              spec.warmup);
 
-  // Flat (protocol, channel count, trial) grid behind one pool.
+  // One grid per channel count, folded into sweep[p][count]; the
+  // artifacts show the largest count's observed cell.
+  const harness::ArtifactPaths artifacts = harness::ArtifactPaths::from_env();
+  harness::ObservedCell observed;
   const auto& protocols = harness::all_protocols();
-  const std::size_t per_protocol = channel_counts.size() * trials;
-  std::vector<CellResult> grid(protocols.size() * per_protocol);
-  // The report describes the largest channel count's trial 0, instrumented
-  // where the sweep runs it: one observed slot per protocol.
-  const std::string report = env_report_path();
-  std::vector<ObservedBody> observed(protocols.size());
-  const std::size_t observed_cell = (channel_counts.size() - 1) * trials;
-  harness::TrialPool pool;
-  pool.run(grid.size(), [&](std::size_t i) {
-    const std::size_t p = i / per_protocol;
-    const std::size_t cell = i % per_protocol;
-    ObservedBody* body = !report.empty() && cell == observed_cell
-                             ? &observed[p]
-                             : nullptr;
-    grid[i] = run_cell(protocols[p], channel_counts[cell / trials],
-                       cell % trials, w, body);
-  });
-
   std::vector<std::vector<CellStats>> sweep(protocols.size());
+  for (std::size_t c = 0; c < channel_counts.size(); ++c) {
+    const bool observe =
+        c + 1 == channel_counts.size() && artifacts.need_cell();
+    const std::vector<Row> grid = harness::run_grid(
+        spec,
+        [&, channels = static_cast<std::size_t>(channel_counts[c])](
+            Session& session, TrialContext& trial) {
+          return scaling_trial(session, trial, channels, churn);
+        },
+        0, observe ? &observed : nullptr);
+    for (std::size_t p = 0; p < protocols.size(); ++p) {
+      sweep[p].push_back(bench::fold(grid, spec, p));
+    }
+  }
+
   bool control_only_holds = true;
   for (std::size_t p = 0; p < protocols.size(); ++p) {
     const Protocol proto = protocols[p];
-    std::printf("%-8s %9s | %9s %9s | %13s %9s %9s | %8s %11s\n",
-                std::string(to_string(proto)).c_str(), "channels", "br rtrs",
-                "br MFT", "non-br rtrs", "nb MCT", "nb MFT", "RP rtrs",
-                "ctl/period");
+    std::printf("%-8s %9s", std::string(to_string(proto)).c_str(),
+                "channels");
+    for (const auto& [column, header] : kPrinted) std::printf(" %11s", header);
+    std::printf("\n");
     for (std::size_t c = 0; c < channel_counts.size(); ++c) {
-      const CellStats s = aggregate(
-          channel_counts[c],
-          grid.data() + p * per_protocol + c * trials, trials);
-      std::printf("%-8s %9zu | %9.1f %9.1f | %13.1f %9.1f %9.1f | %8.1f "
-                  "%11.1f\n",
-                  "", s.channels, s.branching_rtrs.mean(),
-                  s.branching_fwd.mean(), s.nonbr_rtrs.mean(),
-                  s.nonbr_ctl.mean(), s.nonbr_fwd.mean(), s.rp_rtrs.mean(),
-                  s.ctl_rate.mean());
+      std::printf("%-8s %9.0f", "", channel_counts[c]);
+      for (const auto& [column, header] : kPrinted) {
+        std::printf(" %11.1f", sweep[p][c][column].mean());
+      }
+      std::printf("\n");
       if ((proto == Protocol::kHbh || proto == Protocol::kReunite) &&
-          s.nonbr_fwd.mean() != 0) {
+          sweep[p][c][kNbMft].mean() != 0) {
         control_only_holds = false;
       }
-      sweep[p].push_back(s);
     }
     std::printf("\n");
   }
@@ -390,12 +179,33 @@ int main() {
       "rendezvous routers serving shared trees.\n",
       control_only_holds ? ", verified above" : " EXPECTED BUT VIOLATED");
 
-  if (!report.empty()) {
-    write_report(report, channel_counts, trials, w, sweep, observed);
-  }
-  harness::ArtifactPaths profile_only;
-  profile_only.profile = env_prof_out();
-  (void)harness::write_artifacts(profile_only, {}, {}, "ablation_state_scaling",
-                                 {});
-  return control_only_holds ? 0 : 1;
+  // The census table rides in the run report as a top-level
+  // "state_scaling" section.
+  const bool written = harness::write_artifacts(
+      artifacts, spec, {}, "ablation_state_scaling", observed,
+      {"channel_counts", channel_counts}, [&](metrics::JsonWriter& w) {
+        w.key("state_scaling");
+        w.begin_object();
+        w.member("churn_mean_on", churn.mean_on);
+        w.member("churn_mean_off", churn.mean_off);
+        w.key("protocols");
+        w.begin_object();
+        for (std::size_t p = 0; p < protocols.size(); ++p) {
+          w.key(to_string(protocols[p]));
+          w.begin_array();
+          for (std::size_t c = 0; c < channel_counts.size(); ++c) {
+            w.begin_object();
+            w.member("channels", channel_counts[c]);
+            for (std::size_t k = 0; k < kKeys.size(); ++k) {
+              w.member(kKeys[k], sweep[p][c][k].mean());
+            }
+            w.member("trials", static_cast<std::uint64_t>(spec.trials));
+            w.end_object();
+          }
+          w.end_array();
+        }
+        w.end_object();
+        w.end_object();
+      });
+  return control_only_holds && written ? 0 : 1;
 }

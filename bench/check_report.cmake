@@ -6,6 +6,9 @@
 # state-scaling check caps its channel sweep this way).
 # Optional -DTRACE_OUT=path also sets HBH_TRACE_OUT and schema-checks the
 # resulting Perfetto trace (hbh.trace/v1).
+# Optional -DGROUP_SIZES=a,b,... and -DAXIS=name assert that the report's
+# "spec" names the run the bench made: those group sizes, and a non-empty
+# array for the bench's own x-axis (e.g. an ablation's loss rates).
 set(trace_env "")
 if(TRACE_OUT)
   set(trace_env "HBH_TRACE_OUT=${TRACE_OUT}")
@@ -66,7 +69,42 @@ foreach(needle
   endif()
 endforeach()
 
+# The spec is the run the bench made: the trials asked for above, and the
+# group sizes and x-axis it swept.
+string(JSON trials ERROR_VARIABLE err GET "${doc}" spec trials)
+if(err OR NOT trials EQUAL 2)
+  message(FATAL_ERROR "report ${OUT} spec.trials is '${trials}', not 2 ${err}")
+endif()
+if(GROUP_SIZES)
+  set(sizes "")
+  string(JSON count ERROR_VARIABLE err LENGTH "${doc}" spec group_sizes)
+  if(NOT err AND count GREATER 0)
+    math(EXPR last "${count} - 1")
+    foreach(i RANGE ${last})
+      string(JSON size GET "${doc}" spec group_sizes ${i})
+      list(APPEND sizes ${size})
+    endforeach()
+  endif()
+  string(REPLACE ";" "," sizes "${sizes}")
+  if(NOT sizes STREQUAL GROUP_SIZES)
+    message(FATAL_ERROR
+      "report ${OUT} spec.group_sizes is '${sizes}', not ${GROUP_SIZES}")
+  endif()
+endif()
+if(AXIS)
+  string(JSON count ERROR_VARIABLE err LENGTH "${doc}" spec ${AXIS})
+  if(err OR NOT count GREATER 0)
+    message(FATAL_ERROR "report ${OUT} spec lacks the ${AXIS} axis")
+  endif()
+endif()
+
 if(CONGESTION)
+  # The observed cell is a congested one: its registry counts queue drops.
+  string(JSON runs ERROR_VARIABLE err GET "${doc}" runs)
+  string(FIND "${runs}" "\"net.drops.queue-full\"" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "report ${OUT} runs carry no net.drops.queue-full")
+  endif()
   foreach(needle
       "\"congestion\"" "\"goodput_ratio\"" "\"queue_delay\""
       "\"queue_limit\"" "\"aqm\"" "\"branching\"" "\"non_branching\""

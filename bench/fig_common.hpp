@@ -1,4 +1,5 @@
-// Shared driver for the figure-reproduction benches.
+// Shared driver for the figure-reproduction benches, and the spec and
+// grid helpers the ablations share.
 //
 // Each fig*_ binary reproduces one topology's pair of figures from the
 // paper's §4.2, tree cost (Figure 7) and receiver delay (Figure 8), which
@@ -9,28 +10,43 @@
 // ISP topology and 25 on random-50; the paper uses 500).
 #pragma once
 
+#include <array>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
+#include "util/stats.hpp"
 
 namespace hbh::bench {
 
-inline harness::ExperimentSpec spec_from_env(harness::TopoKind topology) {
+/// A bench's spec: `topology`'s cells at `group_sizes`, HBH_TRIALS trials
+/// (default `default_trials`), HBH_SEED. An ablation runs it through
+/// harness::run_grid once per value of its own x-axis.
+inline harness::ExperimentSpec spec_from_env(
+    harness::TopoKind topology, std::vector<std::size_t> group_sizes,
+    std::size_t default_trials) {
   harness::ExperimentSpec spec;
   spec.topology = topology;
-  spec.group_sizes = topology == harness::TopoKind::kIsp
-                         ? harness::isp_group_sizes()
-                         : harness::random50_group_sizes();
-  // Default trial counts keep the whole bench suite to minutes on one
-  // core; the paper's full 500-trial runs are one env var away.
-  const std::size_t default_trials =
-      topology == harness::TopoKind::kIsp ? 60 : 25;
+  spec.group_sizes = std::move(group_sizes);
   spec.trials = env_trials(default_trials);
   spec.base_seed = env_seed();
   return spec;
+}
+
+/// The figures' spec for `topology`. Default trial counts keep the whole
+/// bench suite to minutes on one core; the paper's full 500-trial runs
+/// are one env var away.
+inline harness::ExperimentSpec spec_from_env(harness::TopoKind topology) {
+  const bool isp = topology == harness::TopoKind::kIsp;
+  return spec_from_env(topology,
+                       isp ? harness::isp_group_sizes()
+                           : harness::random50_group_sizes(),
+                       isp ? 60 : 25);
 }
 
 /// Runs `topology`'s sweep once and prints the two figures that read it,
@@ -81,26 +97,26 @@ inline int run_figures(harness::TopoKind topology) {
              : 1;
 }
 
-/// Artifact support for benches that run no figure sweep: the observed
-/// cell (the largest group size of `topology`'s sweep, trial 0) runs once
-/// per protocol with `customize` applied, and every artifact the HBH_*
-/// variables request is written from it. `extra` appends bench-specific top-level report
-/// sections (harness::ReportSectionHook semantics).
-inline void write_bench_artifacts(
-    const char* name, harness::TopoKind topology,
-    const harness::SessionHook& customize = {},
-    const harness::ReportSectionHook& extra = {}) {
-  const harness::ExperimentSpec spec = spec_from_env(topology);
-  const harness::ArtifactPaths artifacts = harness::ArtifactPaths::from_env();
-  harness::ObservedCell observed;
-  if (artifacts.need_cell()) observed = harness::observe_cell(spec, customize);
-  // No sweep: the report's "sweep" section lists each protocol, empty.
-  std::vector<harness::SweepResult> results;
-  for (const harness::Protocol p : harness::all_protocols()) {
-    results.push_back(harness::SweepResult{p, {}});
+/// The trials of protocol `p` (all_protocols() index) at group size index
+/// `s` in a harness::run_grid result, in trial order.
+template <class Row>
+std::span<const Row> cell_trials(const std::vector<Row>& grid,
+                                 const harness::ExperimentSpec& spec,
+                                 std::size_t p, std::size_t s = 0) {
+  return {grid.data() + (p * spec.group_sizes.size() + s) * spec.trials,
+          spec.trials};
+}
+
+/// Those trials' rows of numbers folded column by column, in trial order.
+template <std::size_t N>
+std::array<RunningStats, N> fold(const std::vector<std::array<double, N>>& grid,
+                                 const harness::ExperimentSpec& spec,
+                                 std::size_t p, std::size_t s = 0) {
+  std::array<RunningStats, N> out;
+  for (const auto& row : cell_trials(grid, spec, p, s)) {
+    for (std::size_t k = 0; k < N; ++k) out[k].add(row[k]);
   }
-  (void)harness::write_artifacts(artifacts, spec, results, name, observed,
-                                 extra);
+  return out;
 }
 
 }  // namespace hbh::bench

@@ -292,15 +292,20 @@ void BM_AllPairsRoutingRand50(benchmark::State& state) {
 }
 BENCHMARK(BM_AllPairsRoutingRand50);
 
+// HBH convergence on the ISP topology with range(0) receivers. range(1)
+// turns the full telemetry stack on (taps, gauges, sampler); its delta
+// over the plain run is the instrumentation overhead budget.
 void BM_HbhConvergenceIsp(benchmark::State& state) {
   const auto receivers = static_cast<std::size_t>(state.range(0));
+  const bool telemetry = state.range(1) != 0;
   for (auto _ : state) {
     state.PauseTiming();
     Rng rng{7};
     auto scenario = topo::make_isp();
     topo::randomize_costs(scenario.topo, rng);
     const auto picked = rng.sample(scenario.candidate_receivers(), receivers);
-    harness::Session session{std::move(scenario), harness::Protocol::kHbh};
+    harness::Session session{std::move(scenario), harness::Protocol::kHbh,
+                             {.observe = {.telemetry = telemetry}}};
     state.ResumeTiming();
     Time delay = 0.1;
     for (const NodeId r : picked) {
@@ -311,7 +316,7 @@ void BM_HbhConvergenceIsp(benchmark::State& state) {
     benchmark::DoNotOptimize(session.simulator().executed());
   }
 }
-BENCHMARK(BM_HbhConvergenceIsp)->Arg(4)->Arg(16);
+BENCHMARK(BM_HbhConvergenceIsp)->Args({4, 0})->Args({16, 0})->Args({16, 1});
 
 // Telemetry hot path: a counter update is one add (ClobberMemory keeps
 // the compiler from folding the loop into a single store).
@@ -358,30 +363,6 @@ void BM_PhaseScope(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PhaseScope)->Arg(0)->Arg(1);
-
-// Same workload as BM_HbhConvergenceIsp but with the full telemetry stack
-// on (taps, gauges, sampler); the delta over the plain run is the
-// instrumentation overhead budget.
-void BM_HbhConvergenceTelemetry(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    Rng rng{7};
-    auto scenario = topo::make_isp();
-    topo::randomize_costs(scenario.topo, rng);
-    const auto picked = rng.sample(scenario.candidate_receivers(), 16);
-    harness::Session session{std::move(scenario), harness::Protocol::kHbh,
-                             {.observe = {.telemetry = true}}};
-    state.ResumeTiming();
-    Time delay = 0.1;
-    for (const NodeId r : picked) {
-      session.subscribe(r, delay);
-      delay += 1.0;
-    }
-    session.run_for(400);
-    benchmark::DoNotOptimize(session.simulator().executed());
-  }
-}
-BENCHMARK(BM_HbhConvergenceTelemetry);
 
 void BM_FullTrial(benchmark::State& state) {
   harness::ExperimentSpec spec;

@@ -89,47 +89,39 @@ topo::Scenario build_scenario(const CellKey& cell) {
   return topo::make_isp();
 }
 
-/// The observed cell of a sweep: the largest swept group size, trial 0.
-CellKey observed_cell_key(const ExperimentSpec& spec) {
-  return cell_key(spec, spec.group_sizes.empty() ? 2 : spec.group_sizes.back(),
-                  0);
-}
-
 /// Runs one trial of `protocol` on `cell` under its own phase profiler.
 /// The scenario and receivers are rebuilt from the cell's seed and moved
-/// into the session. `cell_routes` is the SPF table the cell's sessions
-/// share: created here on the cell's first trial (inside the trial_setup
-/// phase, so that protocol is charged for it), attached to on the later
-/// ones. `observed`, when given, makes this an observed run: telemetry,
-/// tracing and audit go on, `customize` is applied, a strict-audit abort
-/// is caught instead of thrown, and the session is kept in `*observed`.
-TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
-                           const CellKey& cell,
-                           std::shared_ptr<routing::SpfTable>& cell_routes,
-                           ObservedRun* observed = nullptr,
-                           const SessionHook& customize = {}) {
+/// into the session, which `body` then runs. `cell_routes` is the SPF
+/// table the cell's sessions share: created here on the cell's first trial
+/// (inside the trial_setup phase, so that protocol is charged for it),
+/// attached to on the later ones. `observed`, when given, makes this an
+/// observed run: telemetry, tracing and audit go on, the auditor sweeps
+/// after the body, a strict-audit abort is caught instead of thrown, and
+/// the session is kept in `*observed`.
+void run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
+                    const CellKey& cell, std::size_t slot,
+                    std::shared_ptr<routing::SpfTable>& cell_routes,
+                    const TrialBody& body, ObservedRun* observed = nullptr) {
   // Per-trial profiler, merged into the process-wide per-protocol
   // aggregate on completion. Stats are integers summed under a mutex, so
   // the aggregated phase *counts* are identical no matter which TrialPool
   // worker ran which cell (the HBH_JOBS determinism contract); only
   // timings vary.
   prof::PhaseProfiler profiler;
-  TrialResult result;
   {
     const prof::ScopedProfiler install{profiler};
     std::unique_ptr<Session> session;
-    Time last_join = 0;  // time the last join fires
+    Rng rng{cell_seed(cell)};
+    std::vector<NodeId> receivers;
     {
       HBH_PHASE("trial_setup");
-      Rng rng{cell_seed(cell)};
       topo::Scenario scenario = build_scenario(cell);
       topo::randomize_costs(scenario.topo, rng);
       if (cell.symmetric_costs) topo::symmetrize_costs(scenario.topo);
 
       auto candidates = scenario.candidate_receivers();
       assert(cell.group_size <= candidates.size());
-      const std::vector<NodeId> receivers =
-          rng.sample(candidates, cell.group_size);
+      receivers = rng.sample(candidates, cell.group_size);
 
       if (!cell_routes) {
         cell_routes = std::make_shared<routing::SpfTable>(
@@ -146,28 +138,11 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
       }
       session = std::make_unique<Session>(std::move(scenario), protocol,
                                           std::move(config), cell_routes);
-      // Staggered joins in randomized order (the sample above is already
-      // shuffled), spaced just over a tree period apart: each join meets
-      // the state the previous receivers built, as in an ongoing session.
-      // The warmup clock starts after the last join.
-      Time delay = 0.1;
-      for (const NodeId r : receivers) {
-        session->subscribe(r, delay);
-        delay += 1.2 * spec.session.timers.tree_period;
-      }
-      last_join = delay;
     }
-    if (observed != nullptr && customize) customize(*session);
-    Measurement m;
+    TrialContext trial{spec, protocol, slot, std::move(receivers), rng,
+                       observed};
     try {
-      {
-        HBH_PHASE("warmup");
-        session->run_for(last_join + spec.warmup);
-      }
-      {
-        HBH_PHASE("measure");
-        m = session->measure(spec.drain);
-      }
+      body(*session, trial);
       if (observed != nullptr) session->audit_sweep();
     } catch (const std::exception&) {
       // HBH_AUDIT=strict aborts a run on its first anomaly, recorded
@@ -176,29 +151,23 @@ TrialResult run_cell_trial(const ExperimentSpec& spec, Protocol protocol,
       if (observed == nullptr) throw;
       observed->abort = std::current_exception();
     }
-    result.tree_cost = static_cast<double>(m.tree_cost);
-    result.mean_delay = m.mean_delay;
-    result.delivered = m.delivered_exactly_once();
     if (observed != nullptr) {
       observed->protocol = protocol;
       observed->session = std::move(session);
-      observed->measurement = std::move(m);
     }
   }
   prof::process_profile().merge(to_string(protocol), profiler);
-  return result;
 }
 
 /// Runs one paired cell on the calling thread: its protocols back to back,
 /// sharing one SPF table, in all_protocols() reversed — HBH, the protocol
 /// under study, runs first and computes every tree it routes on, so its
 /// phase profile reads as if it ran alone; its siblings reuse those trees.
-/// Protocol p's result lands in results[p * stride]. `observed`, when
+/// Protocol p's trial gets slot `slot + p * stride`. `observed`, when
 /// given, receives every protocol's observed run (see run_cell_trial).
 void run_paired_cell(const ExperimentSpec& spec, const CellKey& cell,
-                     TrialResult* results, std::size_t stride,
-                     ObservedCell* observed,
-                     const SessionHook& customize = {}) {
+                     std::size_t slot, std::size_t stride,
+                     const TrialBody& body, ObservedCell* observed) {
   const auto& protocols = all_protocols();
   if (observed != nullptr) {
     observed->group_size = cell.group_size;
@@ -206,13 +175,37 @@ void run_paired_cell(const ExperimentSpec& spec, const CellKey& cell,
   }
   std::shared_ptr<routing::SpfTable> routes;
   for (std::size_t p = protocols.size(); p-- > 0;) {
-    results[p * stride] = run_cell_trial(
-        spec, protocols[p], cell, routes,
-        observed != nullptr ? &observed->runs[p] : nullptr, customize);
+    run_cell_trial(spec, protocols[p], cell, slot + p * stride, routes, body,
+                   observed != nullptr ? &observed->runs[p] : nullptr);
   }
 }
 
 }  // namespace
+
+TrialResult figure_trial(Session& session, TrialContext& trial) {
+  // Staggered joins in randomized order (the sample is already shuffled),
+  // spaced just over a tree period apart: each join meets the state the
+  // previous receivers built, as in an ongoing session. The warmup clock
+  // starts after the last join.
+  Time delay = 0.1;
+  for (const NodeId r : trial.receivers) {
+    session.subscribe(r, delay);
+    delay += 1.2 * trial.spec.session.timers.tree_period;
+  }
+  {
+    HBH_PHASE("warmup");
+    session.run_for(delay + trial.spec.warmup);
+  }
+  Measurement m;
+  {
+    HBH_PHASE("measure");
+    m = session.measure(trial.spec.drain);
+  }
+  const TrialResult result{static_cast<double>(m.tree_cost), m.mean_delay,
+                           m.delivered_exactly_once()};
+  if (trial.observed != nullptr) trial.observed->measurement = std::move(m);
+  return result;
+}
 
 TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
                       std::size_t group_size, std::size_t trial_index) {
@@ -231,7 +224,12 @@ TrialResult run_trial(const ExperimentSpec& spec, Protocol protocol,
     memo.routes.reset();
     memo.key = cell;
   }
-  return run_cell_trial(spec, protocol, cell, memo.routes);
+  TrialResult result;
+  run_cell_trial(spec, protocol, cell, 0, memo.routes,
+                 [&result](Session& session, TrialContext& trial) {
+                   result = figure_trial(session, trial);
+                 });
+  return result;
 }
 
 Time run_to_quiescence(Session& session, Time quiet, Time horizon) {
@@ -258,65 +256,46 @@ Time run_to_quiescence(Session& session, Time quiet, Time horizon) {
   return horizon;
 }
 
-namespace {
-
-/// Folds one protocol's [size][trial] grid slice into per-size cells.
-/// Always iterates in grid order, so the floating-point accumulation —
-/// and therefore every table, CSV, and run report derived from it — is
-/// bit-identical no matter which thread produced which trial, or when.
-SweepResult aggregate_sweep(const ExperimentSpec& spec, Protocol protocol,
-                            const TrialResult* grid) {
-  SweepResult out;
-  out.protocol = protocol;
-  out.cells.reserve(spec.group_sizes.size());
-  for (std::size_t s = 0; s < spec.group_sizes.size(); ++s) {
-    SweepCell cell;
-    cell.group_size = spec.group_sizes[s];
-    for (std::size_t trial = 0; trial < spec.trials; ++trial) {
-      const TrialResult& r = grid[s * spec.trials + trial];
-      cell.tree_cost.add(r.tree_cost);
-      cell.mean_delay.add(r.mean_delay);
-      if (!r.delivered) ++cell.delivery_failures;
-    }
-    out.cells.push_back(cell);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<SweepResult> run_all(const ExperimentSpec& spec, std::size_t jobs,
-                                 ObservedCell* observed) {
+void run_cells(const ExperimentSpec& spec, const TrialBody& body,
+               std::size_t jobs, ObservedCell* observed) {
   // One pool task per paired (group size, trial) cell, so the phase counts
   // charged to each protocol do not depend on the job count.
-  const auto& protocols = all_protocols();
   const std::size_t trials = spec.trials;
   const std::size_t cells = spec.group_sizes.size() * trials;
-  // The observed cell (observed_cell_key): the last size's trial 0.
+  // The observed cell: the last group size's trial 0.
   const std::size_t observed_slot = cells - trials;
-  std::vector<TrialResult> grid(protocols.size() * cells);
   TrialPool pool{jobs};
   pool.run(cells, [&](std::size_t i) {
     const CellKey cell =
         cell_key(spec, spec.group_sizes[i / trials], i % trials);
-    run_paired_cell(spec, cell, grid.data() + i, cells,
+    run_paired_cell(spec, cell, i, cells, body,
                     i == observed_slot ? observed : nullptr);
   });
-  std::vector<SweepResult> out;
-  out.reserve(protocols.size());
-  for (std::size_t p = 0; p < protocols.size(); ++p) {
-    out.push_back(aggregate_sweep(spec, protocols[p], grid.data() + p * cells));
-  }
-  return out;
 }
 
-ObservedCell observe_cell(const ExperimentSpec& spec,
-                          const SessionHook& customize) {
-  ObservedCell observed;
-  std::vector<TrialResult> results(all_protocols().size());
-  run_paired_cell(spec, observed_cell_key(spec), results.data(), 1, &observed,
-                  customize);
-  return observed;
+std::vector<SweepResult> run_all(const ExperimentSpec& spec, std::size_t jobs,
+                                 ObservedCell* observed) {
+  const std::vector<TrialResult> grid =
+      run_grid(spec, figure_trial, jobs, observed);
+  // Folds each protocol's [size][trial] slice in grid order, so the
+  // floating-point accumulation — and every table, CSV and run report
+  // derived from it — is bit-identical no matter which thread produced
+  // which trial, or when.
+  std::vector<SweepResult> out;
+  const TrialResult* r = grid.data();
+  for (const Protocol protocol : all_protocols()) {
+    SweepResult& sweep = out.emplace_back(SweepResult{protocol, {}});
+    for (const std::size_t group_size : spec.group_sizes) {
+      SweepCell& cell = sweep.cells.emplace_back();
+      cell.group_size = group_size;
+      for (std::size_t trial = 0; trial < spec.trials; ++trial, ++r) {
+        cell.tree_cost.add(r->tree_cost);
+        cell.mean_delay.add(r->mean_delay);
+        if (!r->delivered) ++cell.delivery_failures;
+      }
+    }
+  }
+  return out;
 }
 
 std::string format_table(const std::vector<SweepResult>& results,
@@ -374,7 +353,7 @@ namespace {
 bool write_run_report(const ExperimentSpec& spec,
                       const std::vector<SweepResult>& results,
                       std::string_view figure, const ObservedCell& observed,
-                      const ReportSectionHook& extra,
+                      const ReportAxis& axis, const ReportSectionHook& extra,
                       const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
@@ -406,6 +385,12 @@ bool write_run_report(const ExperimentSpec& spec,
     w.value(static_cast<std::uint64_t>(s));
   }
   w.end_array();
+  if (!axis.name.empty()) {
+    w.key(axis.name);
+    w.begin_array();
+    for (const double v : axis.values) w.value(v);
+    w.end_array();
+  }
   w.end_object();
 
   // The sweep summary (same numbers as format_csv).
@@ -453,11 +438,12 @@ bool write_run_report(const ExperimentSpec& spec,
     report.convergence = &convergence;
     report.info["protocol"] = std::string(to_string(run.protocol));
     report.info["topology"] = std::string(to_string(spec.topology));
-    const Measurement& m = run.measurement;
     report.numbers["group_size"] = static_cast<double>(observed.group_size);
-    report.numbers["probe.tree_cost"] = static_cast<double>(m.tree_cost);
-    report.numbers["probe.mean_delay"] = m.mean_delay;
-    report.numbers["probe.delivered"] = m.delivered_exactly_once() ? 1 : 0;
+    if (const auto& m = run.measurement) {
+      report.numbers["probe.tree_cost"] = static_cast<double>(m->tree_cost);
+      report.numbers["probe.mean_delay"] = m->mean_delay;
+      report.numbers["probe.delivered"] = m->delivered_exactly_once() ? 1 : 0;
+    }
     report.numbers["sim.end_time"] = session.simulator().now();
 
     w.key(to_string(run.protocol));
@@ -530,7 +516,7 @@ ArtifactPaths ArtifactPaths::from_env() {
 bool write_artifacts(const ArtifactPaths& paths, const ExperimentSpec& spec,
                      const std::vector<SweepResult>& results,
                      std::string_view figure, const ObservedCell& observed,
-                     const ReportSectionHook& extra) {
+                     const ReportAxis& axis, const ReportSectionHook& extra) {
   bool ok = true;
   const auto write = [&ok](const std::string& path, const char* artifact,
                            const char* variable, auto&& writer) {
@@ -544,7 +530,8 @@ bool write_artifacts(const ArtifactPaths& paths, const ExperimentSpec& spec,
     }
   };
   write(paths.report, "report", "HBH_REPORT", [&](const std::string& path) {
-    return write_run_report(spec, results, figure, observed, extra, path);
+    return write_run_report(spec, results, figure, observed, axis, extra,
+                            path);
   });
   write(paths.trace, "trace", "HBH_TRACE_OUT", [&](const std::string& path) {
     return write_trace_file(spec, figure, observed, path);

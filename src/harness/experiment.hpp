@@ -12,12 +12,15 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness/session.hpp"
 #include "metrics/json.hpp"
 #include "topo/builders.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace hbh::harness {
@@ -87,10 +90,11 @@ struct SweepResult {
 struct ObservedRun {
   Protocol protocol{};
   std::unique_ptr<Session> session;
-  Measurement measurement;
+  /// The probe figure_trial took; unset under any other trial body.
+  std::optional<Measurement> measurement;
   /// A strict-audit abort (HBH_AUDIT=strict) caught mid-run, so the
   /// violating event still reaches the artifacts; write_artifacts
-  /// rethrows it once they are written. `measurement` may then be empty.
+  /// rethrows it once they are written. `measurement` may then be unset.
   std::exception_ptr abort;
 };
 
@@ -103,29 +107,71 @@ struct ObservedCell {
   std::vector<ObservedRun> runs;  ///< all_protocols() order; empty if unrun
 };
 
-/// Runs all four protocols, fanning the (group size, trial) grid across
-/// one worker pool: each task is one paired cell, whose four protocols run
-/// back to back on one worker (HBH first) and share the cell's SPF table.
-/// `jobs` sizes the pool: 0 resolves HBH_JOBS / hardware_concurrency
-/// (harness::TrialPool), 1 is the serial path. Results are bit-identical
-/// for every job count: each trial writes a pre-sized grid slot and
-/// aggregation runs in grid order. `observed`, when given, receives the
-/// sweep's own observed cell, instrumented where the sweep runs it; a
-/// strict-audit abort there is held in the cell, not thrown, until
-/// write_artifacts rethrows it.
+/// What a trial body gets besides its freshly built session: the cell's
+/// receiver sample and its random stream. Both are functions of the
+/// paired cell alone, so every protocol sees the same ones.
+struct TrialContext {
+  const ExperimentSpec& spec;
+  Protocol protocol;
+  /// Index of the trial in the [protocol][group size][trial] grid.
+  std::size_t slot;
+  /// `group_size` receivers sampled from the scenario's candidates, in
+  /// random order. None has subscribed yet.
+  std::vector<NodeId> receivers;
+  /// The cell's stream, past the cost draw and the sample: a body that
+  /// needs more randomness (churn scripts, extra channels, fault seeds)
+  /// draws it here.
+  Rng& rng;
+  /// The observed run this trial fills, or null off the observed cell.
+  ObservedRun* observed;
+};
+
+/// Runs one trial on its session. Bodies run concurrently on TrialPool
+/// workers, so a body may write only its own trial's slot.
+using TrialBody = std::function<void(Session&, TrialContext&)>;
+
+/// The figures' trial (§4): the receivers join in sample order, spaced
+/// 1.2 tree periods apart, the control plane runs for `spec.warmup` after
+/// the last join, and one probe drained for `spec.drain` is measured.
+TrialResult figure_trial(Session& session, TrialContext& trial);
+
+/// Runs `body` on every (protocol, group size, trial) cell of `spec`,
+/// fanning the (group size, trial) grid across one worker pool: each task
+/// is one paired cell, whose four protocols run back to back on one
+/// worker (HBH first) and share the cell's SPF table. `jobs` sizes the
+/// pool: 0 resolves HBH_JOBS / hardware_concurrency (harness::TrialPool),
+/// 1 is the serial path. `observed`, when given, receives the observed
+/// cell (the last group size, trial 0), instrumented where the grid runs
+/// it and swept by its auditor after the body; a strict-audit abort there
+/// is held in the cell, not thrown, until write_artifacts rethrows it.
+void run_cells(const ExperimentSpec& spec, const TrialBody& body,
+               std::size_t jobs = 0, ObservedCell* observed = nullptr);
+
+/// run_cells collecting `body`'s return value per trial, in grid order:
+/// protocol p, group size s, trial t lands at index
+/// (p * group_sizes.size() + s) * trials + t. The grid is identical at
+/// every job count.
+template <class Body>
+auto run_grid(const ExperimentSpec& spec, Body&& body, std::size_t jobs = 0,
+              ObservedCell* observed = nullptr) {
+  using Result = std::invoke_result_t<Body&, Session&, TrialContext&>;
+  std::vector<Result> grid(all_protocols().size() * spec.group_sizes.size() *
+                           spec.trials);
+  run_cells(
+      spec,
+      [&](Session& session, TrialContext& trial) {
+        grid[trial.slot] = body(session, trial);
+      },
+      jobs, observed);
+  return grid;
+}
+
+/// The figure sweep: run_grid of figure_trial, folded per protocol and
+/// group size in grid order, so every table, CSV and report is
+/// bit-identical for every job count.
 [[nodiscard]] std::vector<SweepResult> run_all(
     const ExperimentSpec& spec, std::size_t jobs = 0,
     ObservedCell* observed = nullptr);
-
-/// Hook run on each observed session before its warmup — benches without
-/// a sweep use it to re-apply their scenario conditions (e.g. fault
-/// injection) so the artifacts reflect them.
-using SessionHook = std::function<void(Session&)>;
-
-/// Runs only the observed cell, through the same per-cell path as
-/// run_all, with `customize` applied — for benches that run no sweep.
-[[nodiscard]] ObservedCell observe_cell(const ExperimentSpec& spec,
-                                        const SessionHook& customize = {});
 
 /// Renders the figure-style table: one row per group size, one column per
 /// protocol. `metric` selects tree cost ("cost") or delay ("delay").
@@ -159,13 +205,22 @@ struct ArtifactPaths {
   }
 };
 
-/// Writes every artifact `paths` names, all from `observed` (run_all's or
-/// observe_cell's observed cell), and prints "<artifact>: <path>" for each
-/// (an error on stderr for a file that cannot be created):
-///   * report — the sweep summary of `results`, one "runs" entry per
-///     protocol (registry metrics, state time series, span summary,
-///     convergence timelines, phase profile), the "anomalies" section,
-///     then `extra`'s sections;
+/// A bench's own x-axis, when it sweeps something besides the group size
+/// (an ablation's loss rates, offered loads or channel counts): the
+/// report's "spec" lists it as `name: [values]`. An empty name adds
+/// nothing.
+struct ReportAxis {
+  std::string name;
+  std::vector<double> values;
+};
+
+/// Writes every artifact `paths` names, all from `observed` (the observed
+/// cell of the bench's run_cells call), and prints "<artifact>: <path>"
+/// for each (an error on stderr for a file that cannot be created):
+///   * report — `spec` (plus `axis`), the sweep summary of `results`, one
+///     "runs" entry per protocol (registry metrics, state time series,
+///     span summary, convergence timelines, phase profile), the
+///     "anomalies" section, then `extra`'s sections;
 ///   * trace — HBH's causal trace as Perfetto JSON;
 ///   * audit — every protocol's anomalies as NDJSON (empty when clean);
 ///   * profile — the process-wide phase profile (every trial run so far,
@@ -175,11 +230,13 @@ struct ArtifactPaths {
 /// runs passes a default spec, no results and an empty cell.
 /// The cell's sessions already ran, so the trace and audit files are
 /// byte-identical at any HBH_JOBS, and so is the report after
-/// tools/report_scrub. Returns false if a file could not be written. Rethrows a strict-audit
-/// abort the cell caught, after the files are written.
+/// tools/report_scrub. Returns false if a file could not be written.
+/// Rethrows a strict-audit abort the cell caught, after the files are
+/// written.
 bool write_artifacts(const ArtifactPaths& paths, const ExperimentSpec& spec,
                      const std::vector<SweepResult>& results,
                      std::string_view figure, const ObservedCell& observed,
+                     const ReportAxis& axis = {},
                      const ReportSectionHook& extra = {});
 
 }  // namespace hbh::harness

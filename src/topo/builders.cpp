@@ -115,15 +115,33 @@ void symmetrize_costs(net::Topology& topo) {
   }
 }
 
+namespace {
+
+bool is_backbone(const net::Topology& topo, const net::Topology::Edge& e) {
+  return topo.kind(e.from) == NodeKind::kRouter &&
+         topo.kind(e.to) == NodeKind::kRouter;
+}
+
+}  // namespace
+
+std::vector<std::pair<NodeId, NodeId>> backbone_links(
+    const net::Topology& topo) {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  for (std::uint32_t i = 0; i < topo.link_count(); ++i) {
+    const auto& e = topo.edge(LinkId{i});
+    if (e.from.index() < e.to.index() && is_backbone(topo, e)) {
+      out.emplace_back(e.from, e.to);
+    }
+  }
+  return out;
+}
+
 void apply_backbone_capacity(net::Topology& topo, double capacity,
                              std::size_t queue_limit, net::AqmPolicy aqm) {
   assert(capacity > 0);
   for (std::uint32_t i = 0; i < topo.link_count(); ++i) {
     const auto& e = topo.edge(LinkId{i});
-    if (topo.kind(e.from) != NodeKind::kRouter ||
-        topo.kind(e.to) != NodeKind::kRouter) {
-      continue;
-    }
+    if (!is_backbone(topo, e)) continue;
     topo.set_spec(LinkId{i},
                   e.link.with_capacity(capacity).with_queue(queue_limit, aqm));
   }

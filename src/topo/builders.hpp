@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -54,6 +55,11 @@ void randomize_costs(net::Topology& topo, Rng& rng, int lo = 1, int hi = 10);
 /// Copies each duplex link's forward cost onto its reverse direction,
 /// producing a fully symmetric network (the ablation configuration).
 void symmetrize_costs(net::Topology& topo);
+
+/// Every backbone (router-router) duplex link once, as (a, b) with a < b —
+/// the links fault injection impairs.
+[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> backbone_links(
+    const net::Topology& topo);
 
 /// Applies `capacity` (bytes/time-unit; see LinkSpec::capacity) with the
 /// given queue configuration to every backbone (router-router) directed

@@ -285,10 +285,11 @@ TEST(ExperimentTest, ObservedCellIsTheSweepsOwnCell) {
       EXPECT_NE(run.session->auditor(), nullptr);
       EXPECT_FALSE(run.abort);
       const TrialResult trial = run_trial(spec, run.protocol, 4, 0);
-      EXPECT_EQ(static_cast<double>(run.measurement.tree_cost),
+      ASSERT_TRUE(run.measurement);
+      EXPECT_EQ(static_cast<double>(run.measurement->tree_cost),
                 trial.tree_cost);
-      EXPECT_EQ(run.measurement.mean_delay, trial.mean_delay);
-      EXPECT_EQ(run.measurement.delivered_exactly_once(), trial.delivered);
+      EXPECT_EQ(run.measurement->mean_delay, trial.mean_delay);
+      EXPECT_EQ(run.measurement->delivered_exactly_once(), trial.delivered);
     }
   }
 }
@@ -342,12 +343,19 @@ void duplicate_access_links(Session& session) {
   }
 }
 
+/// The figure trial on a fabric whose access links duplicate (above).
+TrialResult duplicating_trial(Session& session, TrialContext& trial) {
+  duplicate_access_links(session);
+  return figure_trial(session, trial);
+}
+
 TEST(ExperimentTest, ObservedAuditStreamCarriesSeededViolations) {
   const ExperimentSpec spec = tiny_spec();
   ArtifactPaths paths;
   paths.audit = testing::TempDir() + "observed_audit.ndjson";
-  ASSERT_TRUE(write_artifacts(paths, spec, {}, "test",
-                              observe_cell(spec, duplicate_access_links)));
+  ObservedCell recorded_cell;
+  (void)run_grid(spec, duplicating_trial, 1, &recorded_cell);
+  ASSERT_TRUE(write_artifacts(paths, spec, {}, "test", recorded_cell));
   const std::string recorded = read_file(paths.audit);
   EXPECT_NE(recorded.find("\"kind\":\"duplicate-delivery\""),
             std::string::npos)
@@ -355,9 +363,13 @@ TEST(ExperimentTest, ObservedAuditStreamCarriesSeededViolations) {
 
   // HBH_AUDIT=strict aborts each run on its first violation. The stream
   // is written before the abort is rethrown, and carries each run's first
-  // recorded event.
+  // recorded event. Only the observed cell holds its abort; the grid's
+  // other trials must not run strict, so the grid is that cell alone.
+  ExperimentSpec one_cell = spec;
+  one_cell.trials = 1;
   setenv("HBH_AUDIT", "strict", 1);
-  const ObservedCell strict = observe_cell(spec, duplicate_access_links);
+  ObservedCell strict;
+  (void)run_grid(one_cell, duplicating_trial, 1, &strict);
   unsetenv("HBH_AUDIT");
   EXPECT_THROW((void)write_artifacts(paths, spec, {}, "test", strict),
                std::runtime_error);
@@ -368,6 +380,81 @@ TEST(ExperimentTest, ObservedAuditStreamCarriesSeededViolations) {
     EXPECT_NE(recorded.find(line + "\n"), std::string::npos) << line;
   }
   std::remove(paths.audit.c_str());
+}
+
+/// A body besides the figure trial: joins, then quiescence, then the
+/// state census — a trial whose result is not a TrialResult.
+struct CensusRow {
+  Time settle = 0;
+  StateCensus census;
+  std::size_t receivers = 0;
+  std::uint64_t draw = 0;  ///< the cell stream's next value
+
+  friend bool operator==(const CensusRow& a, const CensusRow& b) {
+    return a.settle == b.settle && a.receivers == b.receivers &&
+           a.draw == b.draw &&
+           a.census.control_entries == b.census.control_entries &&
+           a.census.forwarding_entries == b.census.forwarding_entries &&
+           a.census.routers_with_state == b.census.routers_with_state;
+  }
+};
+
+CensusRow census_trial(Session& session, TrialContext& trial) {
+  for (const NodeId r : trial.receivers) session.subscribe(r);
+  CensusRow row;
+  row.settle = run_to_quiescence(session);
+  row.census = session.state_census();
+  row.receivers = trial.receivers.size();
+  row.draw = trial.rng.next();
+  return row;
+}
+
+TEST(ExperimentTest, CustomBodyRowsAreJobsInvariant) {
+  ExperimentSpec spec = tiny_spec();
+  spec.group_sizes = {2, 4};
+  spec.trials = 2;
+  const auto serial = run_grid(spec, census_trial, 1);
+  const auto parallel = run_grid(spec, census_trial, 2);
+  ASSERT_EQ(serial.size(), all_protocols().size() * 2 * 2);
+  EXPECT_TRUE(serial == parallel);
+  // Grid order: protocol, then group size, then trial.
+  EXPECT_EQ(serial[0].receivers, 2u);
+  EXPECT_EQ(serial[2].receivers, 4u);
+  // Paired trials: every protocol sees the same cell stream.
+  for (std::size_t p = 1; p < all_protocols().size(); ++p) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(serial[p * 4 + i].draw, serial[i].draw);
+    }
+  }
+}
+
+TEST(ExperimentTest, CustomBodyObservedRowIsTheGridsOwnRow) {
+  // The observed cell (last group size, trial 0) runs instrumented in the
+  // grid; its rows equal the unobserved grid's at any job count.
+  ExperimentSpec spec = tiny_spec();
+  spec.group_sizes = {2, 4};
+  spec.trials = 2;
+  const auto plain = run_grid(spec, census_trial, 1);
+  for (const std::size_t jobs : {1u, 2u}) {
+    ObservedCell cell;
+    const auto observed = run_grid(spec, census_trial, jobs, &cell);
+    EXPECT_TRUE(observed == plain);
+    EXPECT_EQ(cell.group_size, 4u);
+    ASSERT_EQ(cell.runs.size(), all_protocols().size());
+    for (std::size_t p = 0; p < cell.runs.size(); ++p) {
+      const ObservedRun& run = cell.runs[p];
+      EXPECT_EQ(run.protocol, all_protocols()[p]);
+      ASSERT_NE(run.session, nullptr);
+      EXPECT_NE(run.session->tracer(), nullptr);
+      EXPECT_FALSE(run.abort);
+      // No probe: only figure_trial takes one.
+      EXPECT_FALSE(run.measurement);
+      const StateCensus census = run.session->state_census();
+      const CensusRow& row = plain[p * 4 + 2];  // size 4, trial 0
+      EXPECT_EQ(census.control_entries, row.census.control_entries);
+      EXPECT_EQ(census.forwarding_entries, row.census.forwarding_entries);
+    }
+  }
 }
 
 TEST(ExperimentTest, TableFormatContainsAllProtocolsAndSizes) {

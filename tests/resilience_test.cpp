@@ -24,21 +24,6 @@
 namespace hbh::harness {
 namespace {
 
-/// All router-router duplex pairs (a < b) of a scenario.
-std::vector<std::pair<NodeId, NodeId>> backbone_links(
-    const topo::Scenario& scenario) {
-  std::vector<std::pair<NodeId, NodeId>> out;
-  for (std::size_t i = 0; i < scenario.topo.link_count(); ++i) {
-    const auto& e = scenario.topo.edge(LinkId{static_cast<std::uint32_t>(i)});
-    if (e.from.index() < e.to.index() &&
-        scenario.topo.kind(e.from) == net::NodeKind::kRouter &&
-        scenario.topo.kind(e.to) == net::NodeKind::kRouter) {
-      out.emplace_back(e.from, e.to);
-    }
-  }
-  return out;
-}
-
 /// 5% loss + reordering, the acceptance scenario of docs/RESILIENCE.md.
 net::Impairment lossy_reordering() {
   net::Impairment imp;
@@ -168,7 +153,7 @@ TEST(FaultInjectionTest, AllProtocolsDeliverAfterLossReorderDuplication) {
   auto base = topo::make_isp();
   topo::randomize_costs(base.topo, rng);
   const auto receivers = rng.sample(base.candidate_receivers(), 8);
-  const auto links = backbone_links(base);
+  const auto links = topo::backbone_links(base.topo);
   net::Impairment imp = lossy_reordering();
   imp.duplicate = 0.05;
   for (const Protocol p : all_protocols()) {
@@ -222,7 +207,7 @@ TEST(FaultInjectionTest, SameSeedRunsAreIdentical) {
     }
     session->run_for(150);
     session->seed_impairments(424242);
-    for (const auto& [a, b] : backbone_links(session->scenario())) {
+    for (const auto& [a, b] : topo::backbone_links(session->scenario().topo)) {
       session->impair_link(a, b, lossy_reordering());
     }
     return session;
@@ -364,7 +349,7 @@ TEST(CrashRestartTest, NoStaleStateOutlivesT2AfterLeaveUnderLoss) {
     ASSERT_GT(session.state_census().forwarding_entries, 0u) << to_string(p);
 
     session.seed_impairments(1234);
-    for (const auto& [a, b] : backbone_links(base)) {
+    for (const auto& [a, b] : topo::backbone_links(base.topo)) {
       session.impair_link(a, b, lossy_reordering());
     }
     for (const NodeId r : receivers) session.unsubscribe(r);

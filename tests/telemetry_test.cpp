@@ -608,8 +608,9 @@ TEST(RunReportTest, EnvVarOptIn) {
   unsetenv("HBH_REPORT");
   EXPECT_EQ(paths.report, path);
   EXPECT_TRUE(paths.need_cell());
-  EXPECT_TRUE(harness::write_artifacts(paths, spec, results, "env",
-                                       harness::observe_cell(spec)));
+  harness::ObservedCell cell;
+  (void)harness::run_all(spec, 1, &cell);
+  EXPECT_TRUE(harness::write_artifacts(paths, spec, results, "env", cell));
   std::ifstream in{path};
   EXPECT_TRUE(in.good());
   std::stringstream buffer;
